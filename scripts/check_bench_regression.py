@@ -38,22 +38,10 @@ Exit status 0 means "ship it"; 1 means at least one check failed:
 * **softmax floor** — a fast ``masked_softmax`` / ``masked_softmax_csr`` row
   fell below the absolute floor over the streaming reference oracle (CLI
   default 1.0x: the batched softmax must never lose to the chunked loop it
-  replaces; ``check()`` defaults it off);
-* **fused floor** — an ``attention_fused`` / ``attention_fused_train``
-  ``fused`` row fell below the absolute floor over its ``staged`` arm (CLI
-  default 1.0x: the compiled plan must never lose to the three-kernel
-  staged pipeline it fuses; ``check()`` defaults it off);
-* **multicore floor** — an ``attention_multicore`` /
-  ``attention_multicore_train`` ``multicore`` row fell below the absolute
-  floor over its single-core ``fast`` arm (CLI default 1.0x; the nightly
-  default-scale run raises it to the 1.3x acceptance criterion;
-  ``check()`` defaults it off).  The floor only binds rows whose
-  ``workers`` column reports a pool of >= 2 — a single-core host cannot
-  demonstrate a parallel speedup, so its rows are skipped with a warning
-  (bitwise parity still gates them unconditionally).
+  replaces; ``check()`` defaults it off).
 
-Kernels in ``EXACT_PARITY_KERNELS`` (serving coalescing and the fused plan)
-are held to *bitwise* parity — their parity column must be exactly 0.0, not
+Kernels in ``EXACT_PARITY_KERNELS`` (serving coalescing) are held to
+*bitwise* parity — their parity column must be exactly 0.0, not
 merely under the tolerance — because their baselines are the same kernels on
 the same inputs, so any difference is a semantics change, never rounding.
 
@@ -134,21 +122,12 @@ BAND_MASK_MECHANISMS = ("local", "longformer")
 REGIME_SENSITIVE_ORACLES = ("sddmm_csr", "spmm_csr")
 
 #: Kernels whose non-baseline arm must be *bitwise* identical to its baseline
-#: arm: serving coalescing (batched vs sequential) and the compiled fused
-#: plan (fused vs staged) run the same kernels on the same inputs, so any
-#: nonzero parity is a semantics change rather than rounding noise.
+#: arm: serving coalescing (batched vs sequential) runs the same kernels on
+#: the same inputs, so any nonzero parity is a semantics change rather than
+#: rounding noise.
 EXACT_PARITY_KERNELS = {
     "serving_throughput": "serving requires exact bitwise parity",
-    "attention_fused": "the fused plan must be bitwise-identical to staged",
-    "attention_fused_train": "the fused plan must be bitwise-identical to staged",
-    "attention_multicore": "the tiled plan must be bitwise-identical to fast",
-    "attention_multicore_train": "the tiled plan must be bitwise-identical to fast",
 }
-
-#: Kernels whose speedup floor only binds when the row's ``workers`` column
-#: reports a pool of at least two — a single-core CI host degenerates the
-#: multicore backend to inline execution and cannot demonstrate a speedup.
-MULTICORE_FLOOR_KERNELS = ("attention_multicore", "attention_multicore_train")
 
 
 def check(
@@ -161,8 +140,6 @@ def check(
     min_matrix_speedup: float = 1.0,
     min_serve_speedup: float = 0.0,
     min_softmax_speedup: float = 0.0,
-    min_fused_speedup: float = 0.0,
-    min_multicore_speedup: float = 0.0,
     warnings: Optional[List[str]] = None,
 ) -> Tuple[List[str], float]:
     """Return ``(failure messages, machine factor)``; no failures means pass.
@@ -233,12 +210,6 @@ def check(
          "serve throughput floor"),
         ("masked_softmax", "fast", min_softmax_speedup, "softmax floor"),
         ("masked_softmax_csr", "fast", min_softmax_speedup, "softmax floor"),
-        ("attention_fused", "fused", min_fused_speedup, "fused floor"),
-        ("attention_fused_train", "fused", min_fused_speedup, "fused floor"),
-        ("attention_multicore", "multicore", min_multicore_speedup,
-         "multicore floor"),
-        ("attention_multicore_train", "multicore", min_multicore_speedup,
-         "multicore floor"),
     )
     for kernel_name, floor_backend, floor, label in floors:
         if floor <= 0:
@@ -254,23 +225,6 @@ def check(
                 row for row in rows
                 if row["shape"].split("/")[-1] in BAND_MASK_MECHANISMS
             ]
-        if kernel_name in MULTICORE_FLOOR_KERNELS and rows:
-            # the floor binds only rows that actually ran a parallel pool;
-            # a workers<2 row (single-core host) is skipped with a warning —
-            # its bitwise parity was still checked above
-            capable = [
-                row for row in rows
-                if float(row.get("workers") or 0.0) >= 2.0
-            ]
-            if not capable:
-                if warnings is not None:
-                    warnings.append(
-                        f"{label}: every {kernel_name} row ran with a "
-                        f"single-worker pool (single-core host); the "
-                        f"{floor:.1f}x speedup floor is not applicable"
-                    )
-                continue
-            rows = capable
         for row in rows:
             if row["speedup"] < floor:
                 failures.append(
@@ -315,16 +269,6 @@ def main(argv=None) -> int:
                         help="absolute floor for the fast masked_softmax and "
                              "masked_softmax_csr speedups over the streaming "
                              "reference oracle (0 disables; default 1.0)")
-    parser.add_argument("--min-fused-speedup", type=float, default=1.0,
-                        help="absolute floor for the attention_fused and "
-                             "attention_fused_train fused-over-staged speedups "
-                             "(0 disables; default 1.0)")
-    parser.add_argument("--min-multicore-speedup", type=float, default=1.0,
-                        help="absolute floor for the attention_multicore and "
-                             "attention_multicore_train multicore-over-fast "
-                             "speedups; only binds rows whose workers column "
-                             "reports a pool >= 2 (0 disables; default 1.0; "
-                             "the nightly default-scale gate uses 1.3)")
     parser.add_argument("--update-baseline", action="store_true",
                         help="on success, overwrite the baseline with the fresh results")
     args = parser.parse_args(argv)
@@ -342,8 +286,6 @@ def main(argv=None) -> int:
         min_matrix_speedup=args.min_matrix_speedup,
         min_serve_speedup=args.min_serve_throughput,
         min_softmax_speedup=args.min_softmax_speedup,
-        min_fused_speedup=args.min_fused_speedup,
-        min_multicore_speedup=args.min_multicore_speedup,
         warnings=warnings,
     )
     print(f"perf gate: {len(fresh_payload.get('results', []))} fresh rows vs "

@@ -48,7 +48,6 @@ from repro.analysis.findings import ERROR, Finding, WAIVER_MARKER
 ALIASING_SCOPE = (
     "src/repro/core/plan.py",
     "src/repro/core/attention.py",
-    "src/repro/core/multicore.py",
     "src/repro/core/softmax.py",
     "src/repro/nn/sparse_attention.py",
 )

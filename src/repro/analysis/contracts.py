@@ -43,13 +43,11 @@ from repro.analysis.findings import ERROR, WARNING, Finding
 #: Python names whose use marks a deprecated staged call site.
 DEPRECATED_NAMES = ("softmax_spmm", "dfss_attention_bwd")
 
-#: Modules allowed to reference the deprecated names: the shims' own homes and
-#: the re-exporting package __init__.  (Path suffixes, POSIX-style.)
+#: Modules allowed to reference the deprecated names: the shims' own homes.
+#: (Path suffixes, POSIX-style.)
 DEPRECATED_ALLOWLIST = (
-    "repro/core/__init__.py",
     "repro/core/spmm.py",
     "repro/core/attention_grad.py",
-    "tests/core/test_deprecated_staged.py",
 )
 
 #: Backend constant names resolvable without importing the module.

@@ -10,8 +10,6 @@ ship without.
 
 from __future__ import annotations
 
-import contextlib
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -76,28 +74,6 @@ CSR_BENCH_KERNELS = (
     "spmm_t_csr",
 )
 
-#: Fused compiled-plan pipeline vs the staged three-kernel pipeline, both on
-#: the fast backend, produced by :func:`run_fused_benchmarks`.  The ``fused``
-#: row's parity against ``staged`` must be exactly 0.0 (same kernels, same
-#: softmax core — the plan only pre-resolves dispatch and reuses buffers).
-FUSED_BENCH_KERNELS = (
-    "attention_fused",
-    "attention_fused_train",
-)
-
-#: Multicore tiled backend vs the single-core fast backend, forward and
-#: train, produced by :func:`run_multicore_benchmarks`.  The ``multicore``
-#: row's parity against ``fast`` must be exactly 0.0 — the tiled plan runs
-#: the identical kernels on slices, so any nonzero bit is a tiling bug.
-MULTICORE_BENCH_KERNELS = (
-    "attention_multicore",
-    "attention_multicore_train",
-)
-
-#: Workers-vs-speedup scaling sweep rows (backend ``w<N>``) produced by
-#: :func:`run_multicore_benchmarks` when a ``scaling`` sweep is requested.
-MULTICORE_SCALING_KERNEL = "attention_multicore_scaling"
-
 #: Per-mechanism train-step matrix (sparse compressed path vs dense masked
 #: autograd path) produced by :func:`run_train_matrix`.
 TRAIN_MATRIX_KERNEL = "attention_train_matrix"
@@ -115,8 +91,6 @@ SERVING_LATENCY_KERNEL = "serving_latency"
 ALL_BENCH_KERNELS = (
     BENCH_KERNELS
     + CSR_BENCH_KERNELS
-    + FUSED_BENCH_KERNELS
-    + MULTICORE_BENCH_KERNELS
     + (TRAIN_MATRIX_KERNEL, SERVING_KERNEL, SERVING_LATENCY_KERNEL)
 )
 
@@ -423,269 +397,6 @@ def run_csr_benchmarks(
             )
             if backend == baseline_backend:
                 baseline_median = row.median_s
-            results.append(row)
-    return results
-
-
-def run_fused_benchmarks(
-    scale: str = "smoke",
-    repeats: int = 5,
-    warmup: int = 1,
-    patterns: Sequence[str] = ("1:2", "2:4"),
-    kernels: Optional[Sequence[str]] = None,
-    seed: int = 0,
-    shape: Optional[BenchShape] = None,
-) -> List[BenchResult]:
-    """Fused compiled-plan pipeline vs the staged pipeline, forward and train.
-
-    Both arms run the *fast* kernel backend; what differs is the execution
-    pipeline: ``staged`` dispatches sddmm → masked-softmax → spmm through the
-    registry per call (the parity oracle), ``fused`` executes the compiled
-    :class:`~repro.core.plan.AttentionPlan` — kernels pre-resolved once per
-    plan, the softmax normalising the score buffer in place.  Rows land in
-    ``BENCH_kernels.json`` as ``attention_fused`` (inference forward) and
-    ``attention_fused_train`` (fwd+bwd step on fresh leaf tensors) with the
-    pipeline name in the backend column, mirroring the serving benchmark's
-    ``sequential``/``batched`` convention.  The ``fused`` row's parity against
-    ``staged`` must be exactly 0.0 — the plan runs the same kernel functions
-    over the same values, so any nonzero bit is a fusion bug, never noise.
-
-    The two arms do near-identical work, so their speedup ratio is far more
-    sensitive to host drift than any other row; the repeats are therefore
-    *interleaved* (staged, fused, staged, fused, ...) so a slow episode on a
-    shared box lands on both arms' samples instead of skewing one of them.
-    """
-    from repro.core.plan import FUSED, STAGED
-    from repro.nn.sparse_attention import dfss_sparse_attention
-
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    shape = _resolve_shape(scale, shape)
-    selected = tuple(kernels) if kernels else FUSED_BENCH_KERNELS
-    unknown = set(selected) - set(FUSED_BENCH_KERNELS)
-    if unknown:
-        raise ValueError(
-            f"unknown kernels {sorted(unknown)}; expected {FUSED_BENCH_KERNELS}"
-        )
-
-    results: List[BenchResult] = []
-    for pattern in patterns:
-        resolve_pattern(pattern)  # fail fast on typos
-        rng = new_rng(seed)
-        dims = (shape.batch, shape.heads, shape.seq_len, shape.head_dim)
-        q = rng.normal(size=dims).astype(np.float32)
-        k = rng.normal(size=dims).astype(np.float32)
-        v = rng.normal(size=dims).astype(np.float32)
-
-        def forward(pipeline: str) -> np.ndarray:
-            return dfss_attention(q, k, v, pattern=pattern, pipeline=pipeline)
-
-        def train(pipeline: str) -> np.ndarray:
-            qt = Tensor(q, requires_grad=True)
-            kt = Tensor(k, requires_grad=True)
-            vt = Tensor(v, requires_grad=True)
-            out, _ = dfss_sparse_attention(
-                qt, kt, vt, pattern=pattern, pipeline=pipeline
-            )
-            out.sum().backward()
-            return np.concatenate(
-                [out.data.ravel(), qt.grad.ravel(), kt.grad.ravel(), vt.grad.ravel()]
-            )
-
-        cases: Dict[str, Callable[[str], np.ndarray]] = {
-            "attention_fused": forward,
-            "attention_fused_train": train,
-        }
-        label = shape.label(pattern)
-        for kernel in selected:
-            run = cases[kernel]
-            baseline_out = run(STAGED)
-            parity = _rel_frobenius(run(FUSED), baseline_out)
-            for _ in range(warmup):
-                run(STAGED)
-                run(FUSED)
-            staged_timings: List[float] = []
-            fused_timings: List[float] = []
-            for _ in range(repeats):
-                start = time.perf_counter()
-                run(STAGED)
-                staged_timings.append(time.perf_counter() - start)
-                start = time.perf_counter()
-                run(FUSED)
-                fused_timings.append(time.perf_counter() - start)
-            staged_row = _row_from_timings(
-                kernel, label, STAGED, staged_timings, None, None
-            )
-            results.append(staged_row)
-            results.append(
-                _row_from_timings(
-                    kernel, label, FUSED, fused_timings,
-                    staged_row.median_s, parity,
-                )
-            )
-    return results
-
-
-@contextlib.contextmanager
-def _scoped_workers(workers: Optional[int]):
-    """Temporarily pin ``$REPRO_MULTICORE_WORKERS`` (the pool re-resolves it
-    per run, rebuilding the executor when the count changes)."""
-    from repro.core.multicore import WORKERS_ENV_VAR
-
-    if workers is None:
-        yield
-        return
-    old = os.environ.get(WORKERS_ENV_VAR)
-    os.environ[WORKERS_ENV_VAR] = str(int(workers))
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(WORKERS_ENV_VAR, None)
-        else:
-            os.environ[WORKERS_ENV_VAR] = old
-
-
-def _exact_parity(candidate: np.ndarray, reference: np.ndarray) -> float:
-    """0.0 on bitwise-equal arrays, else the honest relative error."""
-    if np.array_equal(candidate, reference):
-        return 0.0
-    return _rel_frobenius(candidate, reference)
-
-
-def run_multicore_benchmarks(
-    scale: str = "smoke",
-    repeats: int = 5,
-    warmup: int = 1,
-    patterns: Sequence[str] = ("1:2", "2:4"),
-    kernels: Optional[Sequence[str]] = None,
-    workers: Optional[int] = None,
-    scaling: Optional[Sequence[int]] = None,
-    seed: int = 0,
-    shape: Optional[BenchShape] = None,
-) -> List[BenchResult]:
-    """Multicore tiled plan vs the single-core fast plan, forward and train.
-
-    Both arms run the identical fused compiled-plan pipeline; what differs is
-    the backend: ``fast`` executes each stage as one whole-batch numpy call,
-    ``multicore`` tiles the flattened batch×head dimension over the worker
-    pool (see :mod:`repro.core.multicore`).  Rows land in
-    ``BENCH_kernels.json`` as ``attention_multicore`` (inference forward) and
-    ``attention_multicore_train`` (fwd+bwd step on fresh leaf tensors) with
-    the backend in the backend column.  The ``multicore`` row's parity
-    against ``fast`` must be exactly 0.0 — the tiles run the same kernels on
-    disjoint slices, so any nonzero bit is a tiling bug, never noise — and
-    carries a ``workers`` extra column recording the pool size the row
-    actually ran with (the CI gate only applies its speedup floor when this
-    is >= 2; a single-core host cannot demonstrate a parallel speedup).
-
-    ``workers`` pins the pool size (default: ``$REPRO_MULTICORE_WORKERS``,
-    else the host cpu count).  ``scaling`` additionally sweeps the forward
-    pass over the given worker counts on the first pattern, emitting
-    ``attention_multicore_scaling`` rows (backend ``w<N>``) whose speedup
-    baseline is the single-worker arm — the workers-vs-speedup curve.
-
-    Like the fused benchmark's arms, the two backends do near-identical work
-    per stage, so repeats are interleaved (fast, multicore, fast, ...) to
-    keep host drift off the ratio.
-    """
-    from repro.core.backend import FAST, MULTICORE
-    from repro.core.multicore import resolve_worker_count
-    from repro.nn.sparse_attention import dfss_sparse_attention
-
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    shape = _resolve_shape(scale, shape)
-    selected = tuple(kernels) if kernels else MULTICORE_BENCH_KERNELS
-    unknown = set(selected) - set(MULTICORE_BENCH_KERNELS)
-    if unknown:
-        raise ValueError(
-            f"unknown kernels {sorted(unknown)}; expected {MULTICORE_BENCH_KERNELS}"
-        )
-
-    results: List[BenchResult] = []
-    with _scoped_workers(workers):
-        pool_workers = resolve_worker_count()
-        for pattern in patterns:
-            resolve_pattern(pattern)  # fail fast on typos
-            rng = new_rng(seed)
-            dims = (shape.batch, shape.heads, shape.seq_len, shape.head_dim)
-            q = rng.normal(size=dims).astype(np.float32)
-            k = rng.normal(size=dims).astype(np.float32)
-            v = rng.normal(size=dims).astype(np.float32)
-
-            def forward(backend: str) -> np.ndarray:
-                return dfss_attention(q, k, v, pattern=pattern, backend=backend)
-
-            def train(backend: str) -> np.ndarray:
-                qt = Tensor(q, requires_grad=True)
-                kt = Tensor(k, requires_grad=True)
-                vt = Tensor(v, requires_grad=True)
-                out, _ = dfss_sparse_attention(
-                    qt, kt, vt, pattern=pattern, backend=backend
-                )
-                out.sum().backward()
-                return np.concatenate(
-                    [out.data.ravel(), qt.grad.ravel(), kt.grad.ravel(), vt.grad.ravel()]
-                )
-
-            cases: Dict[str, Callable[[str], np.ndarray]] = {
-                "attention_multicore": forward,
-                "attention_multicore_train": train,
-            }
-            label = shape.label(pattern)
-            for kernel in selected:
-                run = cases[kernel]
-                baseline_out = run(FAST)
-                parity = _exact_parity(run(MULTICORE), baseline_out)
-                for _ in range(warmup):
-                    run(FAST)
-                    run(MULTICORE)
-                fast_timings: List[float] = []
-                multicore_timings: List[float] = []
-                for _ in range(repeats):
-                    start = time.perf_counter()
-                    run(FAST)
-                    fast_timings.append(time.perf_counter() - start)
-                    start = time.perf_counter()
-                    run(MULTICORE)
-                    multicore_timings.append(time.perf_counter() - start)
-                fast_row = _row_from_timings(
-                    kernel, label, FAST, fast_timings, None, None
-                )
-                results.append(fast_row)
-                multicore_row = _row_from_timings(
-                    kernel, label, MULTICORE, multicore_timings,
-                    fast_row.median_s, parity,
-                )
-                multicore_row.extra = {"workers": float(pool_workers)}
-                results.append(multicore_row)
-
-    if scaling:
-        pattern = patterns[0]
-        rng = new_rng(seed)
-        dims = (shape.batch, shape.heads, shape.seq_len, shape.head_dim)
-        q = rng.normal(size=dims).astype(np.float32)
-        k = rng.normal(size=dims).astype(np.float32)
-        v = rng.normal(size=dims).astype(np.float32)
-        label = shape.label(pattern)
-        sweep = sorted({1} | {max(1, int(n)) for n in scaling})
-        base_median: Optional[float] = None
-        for n in sweep:
-            with _scoped_workers(n):
-                timings = _time(
-                    lambda: dfss_attention(
-                        q, k, v, pattern=pattern, backend="multicore"
-                    ),
-                    repeats, warmup,
-                )
-            row = _row_from_timings(
-                MULTICORE_SCALING_KERNEL, label, f"w{n}", timings,
-                base_median, None,
-            )
-            row.extra = {"workers": float(n)}
-            if base_median is None:
-                base_median = row.median_s
             results.append(row)
     return results
 

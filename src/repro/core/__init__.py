@@ -26,8 +26,6 @@ This package implements the paper's primary contribution:
 * :mod:`repro.core.blocked_ell` — hybrid blocked-ELL + N:M sparsity.
 """
 
-import warnings as _warnings
-
 from repro.core.attention import DfssAttention, dfss_attention, full_attention
 from repro.core.attention_grad import (
     masked_attention_bwd,
@@ -52,8 +50,6 @@ from repro.core.plan import (
     plan_cache_stats,
     plan_for_nm,
     plan_for_structure,
-    resolve_pipeline,
-    use_pipeline,
 )
 from repro.core.blocked_ell import (
     BlockedEllMask,
@@ -78,41 +74,9 @@ from repro.core.softmax import dense_softmax, sparse_softmax
 from repro.core.sparse import NMSparseMatrix
 from repro.core.spmm import spmm, spmm_t
 
-#: Staged kernel entry points the compiled AttentionPlan subsumes: importing
-#: them from ``repro.core`` warns once and forwards to their submodule homes.
-_DEPRECATED_STAGED = {
-    "softmax_spmm": (
-        "repro.core.spmm",
-        "repro.core.softmax_spmm is deprecated; the compiled AttentionPlan "
-        "(repro.core.plan) fuses softmax+SpMM with bitwise-stable semantics — "
-        "import repro.core.spmm.softmax_spmm directly if you need the legacy "
-        "divide-after-contraction kernel",
-    ),
-    "dfss_attention_bwd": (
-        "repro.core.attention_grad",
-        "repro.core.dfss_attention_bwd is deprecated; use "
-        "repro.core.masked_attention_bwd (or AttentionPlan.backward) instead",
-    ),
-}
-_WARNED_STAGED = set()
-
-
-def __getattr__(name):
-    try:
-        module_name, message = _DEPRECATED_STAGED[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    if name not in _WARNED_STAGED:
-        _WARNED_STAGED.add(name)
-        _warnings.warn(message, DeprecationWarning, stacklevel=2)
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
 __all__ = [
     "DfssAttention",
     "dfss_attention",
-    "dfss_attention_bwd",
     "masked_attention_bwd",
     "full_attention",
     "softmax_grad_compressed",
@@ -135,8 +99,6 @@ __all__ = [
     "plan_cache_stats",
     "plan_for_nm",
     "plan_for_structure",
-    "resolve_pipeline",
-    "use_pipeline",
     "BlockedEllMask",
     "bigbird_mask",
     "full_mask",
@@ -162,7 +124,6 @@ __all__ = [
     "dense_softmax",
     "sparse_softmax",
     "NMSparseMatrix",
-    "softmax_spmm",
     "spmm",
     "spmm_t",
 ]

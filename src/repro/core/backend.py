@@ -34,16 +34,15 @@ it up without touching any call site.
 Backends additionally provide *plan builders*: callables that compile a
 :class:`~repro.core.plan.AttentionPlan` for a given plan key, resolving every
 kernel lookup once instead of per call.  ``register_plan_builder`` /
-``get_plan_builder`` mirror the kernel registry and are the seam a future
-multicore-tiling backend plugs into — a new backend registers one builder and
-every layer (autograd op, engine, serving executor, bench) picks it up.
+``get_plan_builder`` mirror the kernel registry: a new backend registers one
+builder and every layer (autograd op, engine, serving executor, bench) picks
+it up.
 """
 
 from __future__ import annotations
 
 import difflib
 import functools
-import importlib
 import os
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, Optional, Tuple
@@ -53,8 +52,7 @@ from repro.profile.tracer import current_tracer
 #: Canonical backend names shipped with the repository.
 REFERENCE = "reference"
 FAST = "fast"
-MULTICORE = "multicore"
-KNOWN_BACKENDS = (REFERENCE, FAST, MULTICORE)
+KNOWN_BACKENDS = (REFERENCE, FAST)
 
 #: Backend used when neither an argument, a context, nor the environment
 #: variable selects one.
@@ -67,17 +65,6 @@ _REGISTRY: Dict[str, Dict[str, Callable]] = {}
 _OVERRIDE: Optional[str] = None
 
 _PLAN_BUILDERS: Dict[str, Callable] = {}
-
-#: Staged-kernel fallbacks: a backend whose value lies entirely in its plan
-#: builder (multicore tiles *plans*, not individual kernels) delegates any
-#: kernel it does not register itself to the listed backend, so every staged
-#: entry point stays valid under ``REPRO_BACKEND=multicore``.
-_KERNEL_FALLBACKS: Dict[str, str] = {MULTICORE: FAST}
-
-#: Backends whose plan builder lives in a module imported on first use —
-#: nothing imports :mod:`repro.core.multicore` at package-import time, so the
-#: registration happens lazily when the backend is first asked for a plan.
-_DEFERRED_BUILDER_MODULES: Dict[str, str] = {MULTICORE: "repro.core.multicore"}
 
 
 def register_kernel(kernel: str, backend: str) -> Callable[[Callable], Callable]:
@@ -143,8 +130,6 @@ def get_kernel(kernel: str, backend: Optional[str] = None) -> Callable:
         )
     name = resolve_backend(backend)
     impls = _REGISTRY[kernel]
-    if name not in impls and name in _KERNEL_FALLBACKS:
-        name = _KERNEL_FALLBACKS[name]
     if name not in impls:
         raise ValueError(
             f"kernel {kernel!r} has no {name!r} backend; available backends "
@@ -220,9 +205,6 @@ def available_plan_backends() -> Tuple[str, ...]:
 def get_plan_builder(backend: Optional[str] = None) -> Callable:
     """Look up the plan builder for the resolved ``backend``."""
     name = resolve_backend(backend)
-    if name not in _PLAN_BUILDERS and name in _DEFERRED_BUILDER_MODULES:
-        # Importing the module runs its ``@register_plan_builder`` decorator.
-        importlib.import_module(_DEFERRED_BUILDER_MODULES[name])
     if name not in _PLAN_BUILDERS:
         raise ValueError(
             f"backend {name!r} provides no plan builder; "

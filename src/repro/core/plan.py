@@ -22,30 +22,23 @@ module compiles the chain once instead:
   every layer shares: the autograd ops, ``engine.AttentionEngine``, the
   serving executor, and the bench runner.
 
-Backends provide plans through :func:`~repro.core.backend.register_plan_builder`
-(the seam a future multicore-tiling backend plugs into): ``fast`` builds
-fused plans, ``reference`` builds staged plans that dispatch the ordinary
-kernels stage by stage and act as the parity oracle.
+Backends provide plans through :func:`~repro.core.backend.register_plan_builder`:
+``fast`` builds fused plans, ``reference`` builds staged plans that dispatch
+the ordinary kernels stage by stage and act as the parity oracle.
 
-Bitwise parity with the staged pipeline is by construction, not by accident:
-the fused plan calls the *same* registered kernel functions and the same
-softmax core (:func:`~repro.core.softmax.masked_softmax_values`) as the
-staged path; it differs only in pre-resolved dispatch and in-place buffer
+Bitwise parity with the registry kernels composed stage by stage is by
+construction, not by accident: the fused plan calls the *same* registered
+kernel functions and the same softmax core
+(:func:`~repro.core.softmax.masked_softmax_values`) as the staged
+composition; it differs only in pre-resolved dispatch and in-place buffer
 reuse, both of which are bit-exact transformations.
-
-Pipeline selection mirrors backend selection, in decreasing priority: the
-``pipeline=...`` argument on entry points that accept one, an active
-:func:`use_pipeline` context, the ``REPRO_PIPELINE`` environment variable,
-and the default ``"fused"``.  ``pipeline="staged"`` keeps the pre-plan
-three-kernel path runnable as the parity oracle.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import ContextManager, Dict, Iterator, Optional, Tuple
+from typing import ContextManager, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -66,59 +59,6 @@ from repro.profile.tracer import (
     register_metadata_provider,
     register_session_hook,
 )
-
-#: Canonical pipeline names.
-FUSED = "fused"
-STAGED = "staged"
-KNOWN_PIPELINES = (FUSED, STAGED)
-
-#: Pipeline used when neither an argument, a context, nor the environment
-#: variable selects one.
-DEFAULT_PIPELINE = FUSED
-
-#: Environment variable consulted by :func:`resolve_pipeline`.
-PIPELINE_ENV_VAR = "REPRO_PIPELINE"
-
-_PIPELINE_OVERRIDE: Optional[str] = None
-
-
-def resolve_pipeline(pipeline: Optional[str] = None) -> str:
-    """Resolve a pipeline name from argument, context, environment, or default."""
-    if pipeline is None:
-        pipeline = _PIPELINE_OVERRIDE
-    if pipeline is None:
-        pipeline = os.environ.get(PIPELINE_ENV_VAR) or DEFAULT_PIPELINE
-    name = str(pipeline).strip().lower()
-    if name not in KNOWN_PIPELINES:
-        raise ValueError(
-            f"unknown pipeline {pipeline!r}; expected one of "
-            f"{'|'.join(KNOWN_PIPELINES)} (selectable via a pipeline= argument "
-            f"or ${PIPELINE_ENV_VAR})"
-        )
-    return name
-
-
-@contextmanager
-def use_pipeline(pipeline: str) -> Iterator[None]:
-    """Context manager selecting the execution pipeline inside the block.
-
-    Explicit ``pipeline=`` arguments still win; the environment variable is
-    shadowed for the duration of the block.
-    """
-    global _PIPELINE_OVERRIDE
-    name = str(pipeline).strip().lower()
-    if name not in KNOWN_PIPELINES:
-        raise ValueError(
-            f"unknown pipeline {pipeline!r}; expected one of "
-            f"{'|'.join(KNOWN_PIPELINES)}"
-        )
-    previous = _PIPELINE_OVERRIDE
-    _PIPELINE_OVERRIDE = name
-    try:
-        yield
-    finally:
-        _PIPELINE_OVERRIDE = previous
-
 
 @dataclass(frozen=True)
 class PlanKey:
@@ -174,7 +114,7 @@ class AttentionPlan:
             mechanism=self.key.mechanism,
             layout=self.key.layout,
             shape_class="x".join(str(d) for d in self.key.shape_class),
-            pipeline=FUSED if self.fused else STAGED,
+            pipeline="fused" if self.fused else "staged",
         )
 
     # ------------------------------------------------------------------ fwd
@@ -354,6 +294,16 @@ def get_plan(key: PlanKey) -> AttentionPlan:
     return PLAN_CACHE.get(key)
 
 
+def _check_lengths(rows: int, dense_cols: int) -> None:
+    """Reject an empty query or key sequence before any kernel sees it."""
+    for name, length in (("query length (q.shape[-2])", rows),
+                         ("key length (k.shape[-2])", dense_cols)):
+        if int(length) <= 0:
+            raise ValueError(
+                f"attention needs a non-empty sequence: {name} is {int(length)}"
+            )
+
+
 def plan_for_nm(
     pattern,
     rows: int,
@@ -362,6 +312,7 @@ def plan_for_nm(
     dtype: str = "float32",
 ) -> AttentionPlan:
     """Cached plan for the dynamic N:M pipeline on a given per-slice geometry."""
+    _check_lengths(rows, dense_cols)
     pattern = resolve_pattern(pattern)
     key = PlanKey(
         mechanism=f"dfss_{pattern.name}",
@@ -380,6 +331,7 @@ def plan_for_structure(
     dtype: str = "float32",
 ) -> AttentionPlan:
     """Cached plan for a mask-based compressed structure (padded CSR)."""
+    _check_lengths(structure.rows, structure.dense_cols)
     key = PlanKey(
         mechanism=str(mechanism),
         layout="csr",

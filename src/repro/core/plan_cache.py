@@ -30,11 +30,10 @@ class PlanCache(Generic[K, V]):
     Keys are expected to carry ``mechanism`` / ``backend`` attributes (the
     :class:`~repro.core.plan.PlanKey` fields stamped on those events).
 
-    Thread-safe: the multicore backend's worker pool made concurrent lookups
-    a reality, so the counters and the OrderedDict recency updates are
-    guarded by an ``RLock``.  A cold key may still be built more than once
-    under a race (compilation is pure and idempotent — last write wins); the
-    LRU state itself can never corrupt.
+    Thread-safe: lookups may come from several threads, so the counters and
+    the OrderedDict recency updates are guarded by an ``RLock``.  A cold key
+    may still be built more than once under a race (compilation is pure and
+    idempotent — last write wins); the LRU state itself can never corrupt.
     """
 
     def __init__(self, build: Callable[[K], V], max_entries: int = 64) -> None:

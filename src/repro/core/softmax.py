@@ -155,7 +155,6 @@ def masked_softmax_values(
     valid: Optional[np.ndarray] = None,
     lengths: Optional[np.ndarray] = None,
     out: Optional[np.ndarray] = None,
-    segmented: Optional[bool] = None,
 ) -> np.ndarray:
     """Value-space masked row softmax shared by the fast kernel and the plan.
 
@@ -164,24 +163,14 @@ def masked_softmax_values(
     e.g. N:M).  ``out`` may alias ``values`` for in-place execution — the
     fused :class:`~repro.core.plan.AttentionPlan` exploits this to reuse the
     score buffer as the probability buffer.
-
-    ``segmented`` pins the implementation choice: ``None`` keeps the
-    cost-based auto dispatch; ``True``/``False`` force the segmented or
-    chunked pass.  The two passes sum row denominators in different orders
-    (``np.add.reduceat`` vs pairwise ``np.sum``), so a caller executing one
-    logical softmax as several row tiles must decide the branch *once* on the
-    global lengths and pin it for every tile to stay bitwise-identical — a
-    tile's local ``lengths.min()`` can otherwise flip the dispatch.
     """
     if out is None:
         out = np.empty_like(values)
     if valid is None:
         return _chunked_row_softmax(values, out)
-    if segmented is None:
+    if int(lengths.min()) >= values.shape[-1]:
         # no padding lanes anywhere: the dense chunked pass is cheaper than
         # the gather/scatter of the segmented one
-        segmented = int(lengths.min()) < values.shape[-1]
-    if not segmented:
         return _chunked_row_softmax(values, out)
     return _segmented_row_softmax(values, valid, lengths, out)
 

@@ -110,7 +110,7 @@ class Tracer:
             with self._lock:
                 tid = self._tids.setdefault(ident, len(self._tids))
                 # Stable tid → thread-name mapping, recorded at first use so
-                # worker lanes stay identifiable even after the pool is gone.
+                # a thread's lane stays identifiable even after it exits.
                 self._thread_names.setdefault(tid, name)
         return tid
 
@@ -202,39 +202,6 @@ class Tracer:
                 del self._phase.value
             else:
                 self._phase.value = previous
-
-    # ----------------------------------------------- cross-thread propagation
-    def capture_context(self) -> Dict[str, Any]:
-        """Snapshot the calling thread's phase and merged labels.
-
-        Phase and labels are thread-local; a worker pool executing tiles on
-        behalf of a submitting thread captures this on the submitter and
-        re-applies it around each tile (:meth:`apply_context`), so worker-lane
-        events carry the same ``fwd``/``bwd`` phase and plan labels the work
-        would have carried inline.
-        """
-        return {
-            "phase": getattr(self._phase, "value", None),
-            "labels": self._current_labels(),
-        }
-
-    @contextmanager
-    def apply_context(self, context: Dict[str, Any]) -> Iterator[None]:
-        """Re-apply a :meth:`capture_context` snapshot on the current thread."""
-        phase = context.get("phase")
-        labels = context.get("labels") or {}
-        if phase is None:
-            if labels:
-                with self.label_scope(**labels):
-                    yield
-            else:
-                yield
-        elif labels:
-            with self.phase_scope(phase), self.label_scope(**labels):
-                yield
-        else:
-            with self.phase_scope(phase):
-                yield
 
     @contextmanager
     def label_scope(self, **labels: Any) -> Iterator[None]:

@@ -82,11 +82,11 @@ class StructureCache:
         """Return the cached value for ``key``, building (and counting a miss)
         once on first use.
 
-        Thread-safe (the multicore backend made concurrent executor calls a
-        reality): counters, recency updates, and eviction all run under one
-        lock.  ``build`` runs outside it, so a cold key may build more than
-        once under a race — structures are immutable-after-build, so last
-        write wins harmlessly.
+        Thread-safe (executor calls may come from several threads):
+        counters, recency updates, and eviction all run under one lock.
+        ``build`` runs outside it, so a cold key may build more than once
+        under a race — structures are immutable-after-build, so last write
+        wins harmlessly.
         """
         tracer = current_tracer()
         with self._lock:

@@ -426,102 +426,7 @@ class TestServeGate:
         assert all(r["parity_max_rel_err"] == 0.0 for r in serving)
 
 
-class TestFusedBench:
-    @pytest.fixture(scope="class")
-    def fused_results(self):
-        from repro.bench.runner import run_fused_benchmarks
-
-        return run_fused_benchmarks(repeats=2, warmup=0, patterns=("2:4",), shape=TINY)
-
-    def test_rows_cover_both_arms(self, fused_results):
-        combos = {(r.kernel, r.backend) for r in fused_results}
-        assert combos == {
-            (k, arm)
-            for k in ("attention_fused", "attention_fused_train")
-            for arm in ("staged", "fused")
-        }
-
-    def test_fused_arm_is_bitwise_identical_to_staged(self, fused_results):
-        for r in fused_results:
-            if r.backend == "staged":
-                assert r.speedup == 1.0 and r.parity_max_rel_err is None
-            else:
-                assert r.parity_max_rel_err == 0.0
-
-    def test_kernel_subset(self):
-        from repro.bench.runner import run_fused_benchmarks
-
-        rows = run_fused_benchmarks(
-            repeats=1, warmup=0, patterns=("2:4",), shape=TINY,
-            kernels=["attention_fused"],
-        )
-        assert {r.kernel for r in rows} == {"attention_fused"}
-
-    def test_unknown_kernel_rejected(self):
-        from repro.bench.runner import run_fused_benchmarks
-
-        with pytest.raises(ValueError, match="unknown"):
-            run_fused_benchmarks(shape=TINY, kernels=["warp_drive"])
-
-
-class TestFusedAndSoftmaxGate:
-    @staticmethod
-    def _fused_rows(kernel, speedup, parity=0.0):
-        shape = "B1xH2xL32xD16/2:4"
-        staged = {
-            "kernel": kernel, "shape": shape, "backend": "staged",
-            "median_s": 0.01, "p10_s": 0.01, "p90_s": 0.01,
-            "speedup": 1.0, "parity_max_rel_err": None,
-        }
-        fused = dict(staged, backend="fused", speedup=speedup,
-                     parity_max_rel_err=parity)
-        return [staged, fused]
-
-    def _payload(self, speedup=1.2, parity=0.0):
-        rows = (
-            self._fused_rows("attention_fused", speedup, parity)
-            + self._fused_rows("attention_fused_train", speedup, parity)
-        )
-        return {"schema_version": 1, "results": rows}
-
-    def test_fused_floor_fires_below_threshold(self):
-        gate = _load_gate()
-        payload = self._payload(speedup=0.9)
-        failures, _ = gate.check(
-            payload, payload, min_e2e_speedup=0.0, min_train_speedup=0.0,
-            min_matrix_speedup=0.0, min_fused_speedup=1.0,
-        )
-        assert sum("fused floor" in f for f in failures) == 2
-
-    def test_fused_floor_passes_at_parity_or_better(self):
-        gate = _load_gate()
-        payload = self._payload(speedup=1.0)
-        failures, _ = gate.check(
-            payload, payload, min_e2e_speedup=0.0, min_train_speedup=0.0,
-            min_matrix_speedup=0.0, min_fused_speedup=1.0,
-        )
-        assert failures == []
-
-    def test_fused_parity_must_be_exactly_zero(self):
-        # 1e-7 would sail under the generic 1e-2 tolerance; the fused plan
-        # runs the same kernels as staged, so any difference is a bug
-        gate = _load_gate()
-        payload = self._payload(speedup=1.2, parity=1e-7)
-        failures, _ = gate.check(
-            payload, payload, min_e2e_speedup=0.0, min_train_speedup=0.0,
-            min_matrix_speedup=0.0,
-        )
-        assert sum("bitwise-identical to staged" in f for f in failures) == 2
-
-    def test_fused_floor_requires_rows(self):
-        gate = _load_gate()
-        payload = {"schema_version": 1, "results": []}
-        failures, _ = gate.check(
-            payload, payload, min_e2e_speedup=0.0, min_train_speedup=0.0,
-            min_matrix_speedup=0.0, min_fused_speedup=1.0,
-        )
-        assert sum("fused floor" in f and "no " in f for f in failures) == 2
-
+class TestSoftmaxGate:
     @staticmethod
     def _softmax_rows(kernel, speedup):
         shape = "B1xH2xL32xD16/2:4"
@@ -563,127 +468,40 @@ class TestFusedAndSoftmaxGate:
         assert failures == []
 
 
-class TestMulticoreBench:
-    @pytest.fixture(scope="class")
-    def multicore_results(self):
-        from repro.bench.runner import run_multicore_benchmarks
+class TestRetiredOptions:
+    """Options of the deleted execution arms fail loudly instead of silently."""
 
-        return run_multicore_benchmarks(
-            repeats=2, warmup=0, patterns=("2:4",), shape=TINY,
-            workers=2, scaling=(2,),
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--pipeline", "staged"],
+            ["--multicore-workers", "2"],
+            ["--multicore-scaling", "2", "4"],
+            ["--backends", "multicore"],
+            ["--kernels", "attention_fused"],
+            ["--kernels", "attention_multicore"],
+        ],
+        ids=lambda argv: argv[0].lstrip("-") + "=" + argv[1],
+    )
+    def test_bench_cli_rejects(self, argv, capsys):
+        from repro.bench.__main__ import main
 
-    def test_rows_cover_both_arms_and_the_scaling_sweep(self, multicore_results):
-        from repro.bench.runner import (
-            MULTICORE_BENCH_KERNELS,
-            MULTICORE_SCALING_KERNEL,
-        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--shape", "1x2x32x16", "--repeats", "1"] + argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert argv[0] in err or repr(argv[1]) in err
 
-        combos = {(r.kernel, r.backend) for r in multicore_results}
-        expected = {
-            (k, b)
-            for k in MULTICORE_BENCH_KERNELS
-            for b in ("fast", "multicore")
-        } | {(MULTICORE_SCALING_KERNEL, "w1"), (MULTICORE_SCALING_KERNEL, "w2")}
-        assert combos == expected
-
-    def test_multicore_rows_bitwise_parity_and_workers_column(
-        self, multicore_results
-    ):
-        for r in multicore_results:
-            if r.backend == "multicore":
-                # exact 0.0, not merely small: the tiles run the same kernels
-                assert r.parity_max_rel_err == 0.0
-                assert r.extra == {"workers": 2.0}
-            elif r.backend == "fast":
-                assert r.speedup == 1.0
-                assert r.parity_max_rel_err is None
-
-    def test_scaling_rows_carry_worker_counts(self, multicore_results):
-        from repro.bench.runner import MULTICORE_SCALING_KERNEL
-
-        rows = {
-            r.backend: r
-            for r in multicore_results
-            if r.kernel == MULTICORE_SCALING_KERNEL
-        }
-        assert rows["w1"].speedup == 1.0
-        assert rows["w1"].extra == {"workers": 1.0}
-        assert rows["w2"].extra == {"workers": 2.0}
-
-    def test_payload_rows_carry_workers_column(self, multicore_results):
-        payload = results_to_payload(multicore_results, scale="smoke", repeats=2)
-        rows = [
-            row for row in payload["results"] if row["backend"] == "multicore"
-        ]
-        assert rows
-        assert all(row["workers"] == 2.0 for row in rows)
-
-
-class TestMulticoreGate:
-    @staticmethod
-    def _row(kernel, backend, speedup, parity=0.0, workers=None):
-        row = {
-            "kernel": kernel, "shape": "B4xH8xL512xD64/1:2",
-            "backend": backend, "median_s": 0.01, "p10_s": 0.01,
-            "p90_s": 0.01, "speedup": speedup, "parity_max_rel_err": parity,
-        }
-        if workers is not None:
-            row["workers"] = workers
-        return row
-
-    def _check(self, rows, **kwargs):
+    @pytest.mark.parametrize("flag", ["--min-fused-speedup", "--min-multicore-speedup"])
+    def test_gate_cli_rejects(self, flag, tmp_path, capsys):
         gate = _load_gate()
-        warnings = []
-        failures, _ = gate.check(
-            {"schema_version": 1, "results": rows},
-            {"schema_version": 1, "results": []},
-            min_e2e_speedup=0.0, min_train_speedup=0.0,
-            min_matrix_speedup=0.0, warnings=warnings, **kwargs,
-        )
-        return failures, warnings
+        with pytest.raises(SystemExit) as excinfo:
+            gate.main([str(tmp_path / "a.json"), str(tmp_path / "b.json"), flag, "1.0"])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
 
-    def test_floor_binds_rows_with_a_parallel_pool(self):
-        failures, _ = self._check(
-            [
-                self._row("attention_multicore", "multicore", 1.1, workers=2.0),
-                self._row(
-                    "attention_multicore_train", "multicore", 1.5, workers=2.0
-                ),
-            ],
-            min_multicore_speedup=1.3,
-        )
-        assert any("multicore floor" in f and "1.10x" in f for f in failures)
-        assert not any("attention_multicore_train" in f for f in failures)
+    def test_gate_check_has_no_retired_floors(self):
+        import inspect
 
-    def test_floor_skips_single_worker_rows_with_a_warning(self):
-        failures, warnings = self._check(
-            [
-                self._row("attention_multicore", "multicore", 0.9, workers=1.0),
-                self._row(
-                    "attention_multicore_train", "multicore", 0.9, workers=1.0
-                ),
-            ],
-            min_multicore_speedup=1.3,
-        )
-        assert not any("multicore floor" in f for f in failures)
-        assert any("single-worker" in w for w in warnings)
-
-    def test_bitwise_parity_required_even_on_single_worker_rows(self):
-        failures, _ = self._check(
-            [
-                self._row(
-                    "attention_multicore", "multicore", 2.0,
-                    parity=1e-7, workers=1.0,
-                ),
-            ],
-        )
-        assert any(
-            "parity" in f and "attention_multicore" in f for f in failures
-        )
-
-    def test_floor_requires_rows(self):
-        failures, _ = self._check([], min_multicore_speedup=1.3)
-        assert any(
-            "no attention_multicore multicore rows" in f for f in failures
-        )
+        params = inspect.signature(_load_gate().check).parameters
+        assert not {"min_fused_speedup", "min_multicore_speedup"} & set(params)

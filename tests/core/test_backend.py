@@ -1,5 +1,7 @@
 """Tests for the kernel backend registry and its dispatch rules."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,23 @@ class TestResolution:
     def test_argument_beats_env(self, monkeypatch):
         monkeypatch.setenv(backend.ENV_VAR, "reference")
         assert resolve_backend("fast") == FAST
+
+    def test_built_in_backends_are_fast_and_reference(self):
+        assert set(available_backends()) == {FAST, REFERENCE}
+        assert set(backend.available_plan_backends()) == {FAST, REFERENCE}
+
+    def test_retired_backend_name_rejected_as_argument(self):
+        message = "unknown backend 'multicore'; expected one of fast|reference"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            resolve_backend("multicore")
+
+    def test_retired_backend_name_rejected_from_env(self, monkeypatch):
+        from repro.core.attention import dfss_attention
+
+        monkeypatch.setenv(backend.ENV_VAR, "multicore")
+        q = np.ones((1, 8, 4), dtype=np.float32)
+        with pytest.raises(ValueError, match="unknown backend 'multicore'"):
+            dfss_attention(q, q, q)
 
     def test_names_are_normalised(self):
         assert resolve_backend("  Fast ") == FAST

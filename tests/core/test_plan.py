@@ -1,7 +1,7 @@
 """Tests for the compiled plan/execute layer (:mod:`repro.core.plan`).
 
-Covers pipeline resolution (argument > context > environment > default),
-the backend plan-builder registry seam, the LRU plan cache and its
+Covers the backend plan-builder registry seam, the rejection of empty
+sequences at the plan boundary, the LRU plan cache and its
 hit/miss accounting, and the :meth:`AttentionEngine.plan` façade.
 """
 
@@ -17,10 +17,6 @@ from repro.core.backend import (
 from repro.core.padded_csr import PaddedCSRMatrix
 from repro.core.patterns import PATTERN_2_4
 from repro.core.plan import (
-    DEFAULT_PIPELINE,
-    FUSED,
-    PIPELINE_ENV_VAR,
-    STAGED,
     AttentionPlan,
     PlanKey,
     build_plan,
@@ -28,8 +24,6 @@ from repro.core.plan import (
     plan_cache_stats,
     plan_for_nm,
     plan_for_structure,
-    resolve_pipeline,
-    use_pipeline,
 )
 from repro.engine import AttentionEngine
 
@@ -46,39 +40,6 @@ def _qkv(seq=16, d=8, seed=0):
     return tuple(
         rng.standard_normal((seq, d), dtype=np.float32) for _ in range(3)
     )
-
-
-class TestPipelineResolution:
-    def test_default_is_fused(self, monkeypatch):
-        monkeypatch.delenv(PIPELINE_ENV_VAR, raising=False)
-        assert resolve_pipeline() == DEFAULT_PIPELINE == FUSED
-
-    def test_environment_variable(self, monkeypatch):
-        monkeypatch.setenv(PIPELINE_ENV_VAR, "staged")
-        assert resolve_pipeline() == STAGED
-
-    def test_context_shadows_environment(self, monkeypatch):
-        monkeypatch.setenv(PIPELINE_ENV_VAR, "fused")
-        with use_pipeline(STAGED):
-            assert resolve_pipeline() == STAGED
-        assert resolve_pipeline() == FUSED
-
-    def test_argument_wins_over_context(self):
-        with use_pipeline(STAGED):
-            assert resolve_pipeline(FUSED) == FUSED
-
-    def test_contexts_nest_and_restore(self):
-        with use_pipeline(STAGED):
-            with use_pipeline(FUSED):
-                assert resolve_pipeline() == FUSED
-            assert resolve_pipeline() == STAGED
-
-    def test_unknown_pipeline_rejected(self):
-        with pytest.raises(ValueError, match="unknown pipeline"):
-            resolve_pipeline("warp")
-        with pytest.raises(ValueError, match="unknown pipeline"):
-            with use_pipeline("warp"):
-                pass  # pragma: no cover
 
 
 class TestPlanBuilders:
@@ -100,6 +61,19 @@ class TestPlanBuilders:
         with pytest.raises(ValueError, match="unknown plan layout"):
             AttentionPlan(key, fused=True)
 
+    @pytest.mark.parametrize("backend", [FAST, REFERENCE])
+    def test_every_backend_plans_both_layouts(self, backend):
+        # one compiled path per backend: both constructors always return a plan
+        nm = plan_for_nm(PATTERN_2_4, 16, 16, backend=backend)
+        csr = plan_for_structure(
+            PaddedCSRMatrix.from_mask(np.tril(np.ones((16, 16), dtype=bool))),
+            backend=backend,
+        )
+        for plan, layout in ((nm, "nm"), (csr, "csr")):
+            assert isinstance(plan, AttentionPlan)
+            assert plan.key.layout == layout and plan.key.backend == backend
+            assert plan.fused is (backend == FAST)
+
     def test_csr_plan_requires_structure_to_score(self):
         mask = np.eye(8, dtype=bool)
         structure = PaddedCSRMatrix.from_mask(mask)
@@ -107,6 +81,96 @@ class TestPlanBuilders:
         q, k, _ = _qkv(seq=8, d=4)
         with pytest.raises(ValueError, match="structure"):
             plan.compute_scores(q, k)
+
+
+class TestEmptySequence:
+    @pytest.mark.parametrize(
+        "rows, cols, name", [(0, 8, "query length"), (8, 0, "key length")]
+    )
+    def test_plan_constructors_name_the_empty_argument(self, rows, cols, name):
+        with pytest.raises(ValueError, match=name):
+            plan_for_nm(PATTERN_2_4, rows, cols)
+        structure = PaddedCSRMatrix.from_mask(np.ones((rows, cols), dtype=bool))
+        with pytest.raises(ValueError, match=name):
+            plan_for_structure(structure)
+        assert plan_cache_stats()["size"] == 0
+
+    def test_dfss_attention_rejects_an_empty_sequence(self):
+        from repro.core.attention import dfss_attention
+
+        empty = np.zeros((1, 2, 0, 64), dtype=np.float32)
+        keys = np.zeros((1, 2, 8, 64), dtype=np.float32)
+        with pytest.raises(ValueError, match="query length"):
+            dfss_attention(empty, empty, empty)
+        with pytest.raises(ValueError, match="key length"):
+            dfss_attention(keys, empty, empty)
+
+    def test_query_length_is_named_first_when_both_are_empty(self):
+        with pytest.raises(ValueError, match="query length"):
+            plan_for_nm(PATTERN_2_4, 0, 0)
+
+    @pytest.mark.parametrize("op", ["dfss", "masked"])
+    def test_autograd_ops_reject_an_empty_sequence(self, op):
+        from repro.nn.autograd import Tensor
+        from repro.nn.sparse_attention import (
+            dfss_sparse_attention,
+            masked_sparse_attention,
+        )
+
+        empty = Tensor(np.zeros((1, 2, 0, 16), dtype=np.float32))
+        keys = Tensor(np.zeros((1, 2, 8, 16), dtype=np.float32))
+        if op == "dfss":
+            calls = [
+                ("query length", lambda: dfss_sparse_attention(empty, empty, empty)),
+                ("key length", lambda: dfss_sparse_attention(keys, empty, empty)),
+            ]
+        else:
+            calls = [
+                ("query length", lambda: masked_sparse_attention(
+                    empty, empty, empty, mask=np.ones((0, 0), dtype=bool))),
+                ("key length", lambda: masked_sparse_attention(
+                    keys, empty, empty, mask=np.ones((8, 0), dtype=bool))),
+            ]
+        for name, call in calls:
+            with pytest.raises(ValueError, match=name):
+                call()
+
+    def test_drop_in_object_rejects_an_empty_sequence(self):
+        from repro.core.attention import DfssAttention
+
+        empty = np.zeros((2, 0, 16), dtype=np.float32)
+        with pytest.raises(ValueError, match="query length"):
+            DfssAttention(pattern="1:2")(empty, empty, empty)
+
+    def test_engine_plan_rejects_an_empty_sequence(self):
+        engine = AttentionEngine("local", window=4, seq_len_hint=16)
+        with pytest.raises(ValueError, match="query length"):
+            engine.plan(n_q=0)
+
+    def test_repro_attention_rejects_an_empty_sequence(self):
+        import repro
+
+        empty = np.zeros((1, 2, 0, 64), dtype=np.float32)
+        with pytest.raises(ValueError, match="query length"):
+            repro.attention(empty, empty, empty, mechanism="dfss")
+
+
+class TestOneExecutionPath:
+    """No entry point offers a switch between execution arms."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["dfss_attention", "DfssAttention", "dfss_sparse_attention",
+         "masked_sparse_attention"],
+    )
+    def test_entry_point_takes_no_pipeline_argument(self, entry):
+        import inspect
+
+        from repro.core import attention
+        from repro.nn import sparse_attention
+
+        fn = getattr(attention, entry, None) or getattr(sparse_attention, entry)
+        assert "pipeline" not in inspect.signature(fn).parameters
 
 
 class TestPlanCache:

@@ -1,14 +1,20 @@
 """Tests for dense, masked and sparse softmax."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.core.padded_csr import PaddedCSRMatrix
 from repro.core.patterns import PATTERN_2_4
+from repro.core.sddmm import sddmm_csr
 from repro.core.softmax import (
+    _chunked_row_softmax,
+    _segmented_row_softmax,
     dense_softmax,
     masked_dense_softmax,
+    masked_softmax_values,
     sparse_softmax,
     sparse_softmax_streaming,
 )
@@ -103,6 +109,86 @@ class TestSparseSoftmax:
         sp = NMSparseMatrix.from_dense(dense, PATTERN_2_4)
         w = sparse_softmax(sp)
         np.testing.assert_allclose(w.values.sum(axis=-1), 1.0, atol=1e-6)
+
+
+def _layout_scores(kind, seed=0):
+    """Compressed scores of one layout: ``nm``, ``full`` CSR or ``ragged`` CSR."""
+    rng = np.random.default_rng(seed)
+    q, k = (rng.normal(size=(2, 24, 8)).astype(np.float32) for _ in range(2))
+    if kind == "nm":
+        return NMSparseMatrix.from_dense(q @ np.swapaxes(k, -1, -2), PATTERN_2_4)
+    mask = np.ones((24, 24), dtype=bool)
+    if kind == "ragged":
+        mask = np.triu(np.tril(mask, 2), -5)
+        mask[9] = False  # one fully-masked row
+    structure = PaddedCSRMatrix.from_mask(mask).broadcast_to((2,))
+    return sddmm_csr(q, k, structure)
+
+
+def _dispatch_args(scores):
+    valid = scores.valid_lanes()
+    lengths = None if valid is None else scores.row_lengths()
+    return valid, lengths
+
+
+class TestValueSpaceDispatch:
+    """``masked_softmax_values`` picks its core per layout, bit for bit."""
+
+    def test_nm_layout_takes_the_chunked_path(self):
+        scores = _layout_scores("nm")
+        assert _dispatch_args(scores) == (None, None)
+        expected = _chunked_row_softmax(scores.values, np.empty_like(scores.values))
+        np.testing.assert_array_equal(masked_softmax_values(scores.values), expected)
+
+    def test_full_rows_take_the_chunked_path(self):
+        scores = _layout_scores("full")
+        valid, lengths = _dispatch_args(scores)
+        assert valid is not None and int(lengths.min()) == scores.values.shape[-1]
+        expected = _chunked_row_softmax(scores.values, np.empty_like(scores.values))
+        np.testing.assert_array_equal(
+            masked_softmax_values(scores.values, valid, lengths), expected
+        )
+
+    def test_ragged_rows_take_the_segmented_path(self):
+        scores = _layout_scores("ragged")
+        valid, lengths = _dispatch_args(scores)
+        expected = _segmented_row_softmax(
+            scores.values, valid, lengths, np.empty_like(scores.values)
+        )
+        np.testing.assert_array_equal(
+            masked_softmax_values(scores.values, valid, lengths), expected
+        )
+
+    @pytest.mark.parametrize("kind", ["nm", "full", "ragged"])
+    def test_in_place_matches_out_of_place(self, kind):
+        scores = _layout_scores(kind, seed=3)
+        valid, lengths = _dispatch_args(scores)
+        expected = masked_softmax_values(scores.values, valid, lengths)
+        buf = scores.values.copy()
+        result = masked_softmax_values(buf, valid, lengths, out=buf)
+        assert result is buf
+        np.testing.assert_array_equal(buf, expected)
+
+    def test_segmented_agrees_with_chunked_on_ragged_rows(self):
+        # the chunked core masks padding lanes by their sentinel score, the
+        # segmented one skips them: same probabilities, exact zeros on padding
+        scores = _layout_scores("ragged", seed=5)
+        valid, lengths = _dispatch_args(scores)
+        seg = _segmented_row_softmax(
+            scores.values, valid, lengths, np.empty_like(scores.values)
+        )
+        chunked = _chunked_row_softmax(scores.values, np.empty_like(scores.values))
+        np.testing.assert_allclose(seg, chunked, rtol=1e-6, atol=1e-7)
+        assert np.all(seg[~valid] == 0.0) and np.all(chunked[~valid] == 0.0)
+
+    def test_fully_masked_row_is_exactly_zero_on_the_segmented_path(self):
+        scores = _layout_scores("ragged", seed=7)
+        valid, lengths = _dispatch_args(scores)
+        assert int(lengths[..., 9].max()) == 0
+        probs = masked_softmax_values(scores.values, valid, lengths)
+        assert np.all(probs[..., 9, :] == 0.0)
+        live = lengths > 0
+        np.testing.assert_allclose(probs.sum(axis=-1)[live], 1.0, atol=1e-6)
 
 
 @settings(max_examples=40, deadline=None)

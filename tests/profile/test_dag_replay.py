@@ -21,8 +21,8 @@ def _record_step_payload(shape=(1, 2, 64, 32), pattern="2:4", seed=0):
     v = parameter(rng.standard_normal(shape, dtype=np.float32))
     clear_plan_cache()
     # These tests assert the exact one-kernel-per-stage event sequence of the
-    # single-core fast plan; pin it so a multicore REPRO_BACKEND (which tiles
-    # stages into several kernel events) doesn't change the recorded trace.
+    # fused fast plan; pin it so a REPRO_BACKEND=reference run (the staged
+    # oracle plan) doesn't change the recorded trace.
     with use_backend("fast"), trace() as active:
         # warm-up outside the step span so the recorded step is steady state
         out, _ = dfss_sparse_attention(q, k, v, pattern=pattern)

@@ -7,8 +7,8 @@ import pytest
 from repro.profile.__main__ import main
 
 # Pin the fast backend: these tests assert replay-accuracy and event-sequence
-# properties of the single-core plan; a multicore $REPRO_BACKEND tiles stages
-# across worker lanes the replay cannot model on an oversubscribed runner.
+# properties of the fused plan, which a $REPRO_BACKEND=reference run would
+# replace with the staged loop-oracle plan.
 TINY = ["--shape", "1", "2", "64", "32", "--warmup", "1", "--backend", "fast"]
 
 
