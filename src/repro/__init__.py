@@ -4,8 +4,8 @@ Public API: :func:`repro.attention` / :class:`repro.AttentionEngine` construct
 and run any registered attention mechanism through the unified registry
 (:mod:`repro.registry`); :func:`repro.available_mechanisms` enumerates them
 with capability flags; :mod:`repro.serve` (callable as
-``repro.serve(requests)``) is the request-level serving engine that coalesces
-mixed mechanisms and sequence lengths into ragged batches.  See
+``repro.serve(requests)``) is the request-level serving engine that batches
+mixed mechanisms and sequence lengths through the compiled attention plan.  See
 :mod:`repro.core` for the DFSS kernels, :mod:`repro.gpusim` for the A100-like
 performance model, :mod:`repro.baselines` for comparator implementations,
 :mod:`repro.nn` for the numpy transformer stack and :mod:`repro.experiments`

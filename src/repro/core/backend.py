@@ -35,7 +35,7 @@ Backends additionally provide *plan builders*: callables that compile a
 :class:`~repro.core.plan.AttentionPlan` for a given plan key, resolving every
 kernel lookup once instead of per call.  ``register_plan_builder`` /
 ``get_plan_builder`` mirror the kernel registry: a new backend registers one
-builder and every layer (autograd op, engine, serving executor, bench) picks
+builder and every layer (autograd op, engine, serving, bench) picks
 it up.
 """
 

@@ -26,7 +26,7 @@ everywhere, matching the dense masked softmax's no-uniform-leak rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -164,93 +164,37 @@ class PaddedCSRMatrix:
         valid = structure.valid_lanes()
         return structure.with_values(np.where(valid, vals, np.float32(pad_value)))
 
-    @classmethod
-    def concat_ragged(
-        cls,
-        structures: "Sequence[PaddedCSRMatrix]",
-        key_offsets: Optional[Sequence[int]] = None,
-    ) -> "PaddedCSRMatrix":
-        """Block-diagonally concatenate per-sequence structures into one batch.
-
-        The per-*sequence* extension of the per-row raggedness: each input is
-        a 2-D ``(rows_i, width_i)`` structure over its own ``dense_cols_i``
-        key range, and the result is a single 2-D structure whose rows are the
-        concatenation of all inputs and whose dense columns are the disjoint
-        union of their key ranges (input ``i``'s columns shifted by the
-        cumulative key offset).  A batch can therefore mix L=128 and L=512
-        sequences without padding anyone to the longest sequence — only the
-        *lane width* is padded, to the global maximum row nnz, and the new
-        padding lanes follow the layout convention (clamped to column 0,
-        ``lengths`` unchanged).  Values are zero-filled; callers stamp scores
-        through :meth:`valid_lanes` exactly as for a fresh :meth:`from_mask`
-        structure.
-
-        ``key_offsets`` overrides the dense-column offset of each input —
-        sequences *sharing* a key range (e.g. several heads of one sequence
-        attending to one shared memory) pass explicit offsets; the default is
-        the disjoint block-diagonal placement.
-        """
-        structures = list(structures)
-        if not structures:
-            raise ValueError("concat_ragged needs at least one structure")
-        for s in structures:
-            if s.batch_shape != ():
-                raise ValueError(
-                    "concat_ragged expects 2-D (rows, width) structures; got "
-                    f"batch shape {s.batch_shape}"
-                )
-        if key_offsets is None:
-            offsets = np.concatenate(
-                [[0], np.cumsum([s.dense_cols for s in structures])]
-            )
-            dense_cols = int(offsets[-1])
-            offsets = offsets[:-1]
-        else:
-            offsets = np.asarray(list(key_offsets), dtype=np.int64)
-            if offsets.shape != (len(structures),):
-                raise ValueError(
-                    f"key_offsets must give one offset per structure; got "
-                    f"{offsets.shape[0]} for {len(structures)} structures"
-                )
-            if np.any(offsets < 0):
-                raise ValueError("key_offsets must be non-negative")
-            dense_cols = int(max(o + s.dense_cols for o, s in zip(offsets, structures)))
-        width = max(s.width for s in structures)
-        cols_parts, length_parts = [], []
-        for s, off in zip(structures, offsets):
-            cols = np.zeros((s.rows, width), dtype=np.int32)
-            cols[:, : s.width] = np.where(
-                s.valid_lanes(), s.cols + np.int32(off), np.int32(0)
-            )
-            cols_parts.append(cols)
-            length_parts.append(s.lengths)
-        cols = np.concatenate(cols_parts, axis=0)
-        return cls(
-            values=np.zeros(cols.shape, dtype=np.float32),
-            cols=cols,
-            lengths=np.concatenate(length_parts),
-            dense_cols=dense_cols,
-            dtype=structures[0].dtype,
-        )
-
     def broadcast_to(self, batch_shape: Tuple[int, ...]) -> "PaddedCSRMatrix":
         """View of this structure broadcast to new leading batch dimensions.
 
         The broadcast arrays are read-only views; callers replace the values
         via :meth:`with_values` (e.g. the SDDMM writing per-head scores into
-        one shared static-mask structure).
+        one shared static-mask structure).  The lane-validity mask and the
+        scatter columns are views of this structure's own cached tables, and
+        the flat gather/scatter tables of a 2-D base are derived from the
+        base's, so a stacked call over a shared structure never rebuilds its
+        index tables lane by lane.
         """
         batch_shape = tuple(batch_shape)
         if batch_shape == self.batch_shape:
             return self
         target = batch_shape + (self.rows, self.width)
-        return PaddedCSRMatrix(
-            values=np.broadcast_to(self.values, target),
-            cols=np.broadcast_to(self.cols, target),
-            lengths=np.broadcast_to(self.lengths, batch_shape + (self.rows,)),
-            dense_cols=self.dense_cols,
-            dtype=self.dtype,
-        )
+        # bypass __post_init__: the arrays are views of this validated
+        # structure (and, under the sanitizer, of its frozen private copies)
+        out = object.__new__(PaddedCSRMatrix)
+        out.values = np.broadcast_to(self.values, target)
+        out.cols = np.broadcast_to(self.cols, target)
+        out.lengths = np.broadcast_to(self.lengths, batch_shape + (self.rows,))
+        out.dense_cols = self.dense_cols
+        out.dtype = self.dtype
+        shared = {
+            "valid": np.broadcast_to(self.valid_lanes(), target),
+            "scatter_cols": np.broadcast_to(self._scatter_cols(), target),
+        }
+        if self.batch_shape == ():
+            shared["base"] = self
+        out.__dict__["_shared_caches"] = shared
+        return out
 
     def to_dense(self, fill_value: float = 0.0) -> np.ndarray:
         """Materialise the dense matrix with absent entries set to ``fill_value``."""
@@ -302,6 +246,29 @@ class PaddedCSRMatrix:
             np.arange(n_rows, dtype=np.int64) * row_width
         ).reshape(self.batch_shape + (self.rows, 1))
 
+    def _flat_table(self, name: str, row_width: int) -> np.ndarray:
+        """Cached raveled index of every lane into a ``(..., rows, row_width)`` tile.
+
+        ``"flat_gather"`` tables address each lane's column,
+        ``"flat_scatter"`` tables its scatter column (padding lanes in the
+        trash column).  A broadcast of a 2-D structure adds per-slice offsets
+        to its base's table instead of rebuilding it from the columns.
+        """
+        cached = self._shared.get(name)
+        if cached is None:
+            base = self._shared.get("base")
+            if base is not None:
+                slices = int(np.prod(self.batch_shape, dtype=np.int64))
+                offsets = np.arange(slices, dtype=np.int64) * (self.rows * row_width)
+                cached = base._flat_table(name, row_width) + offsets.reshape(
+                    self.batch_shape + (1, 1)
+                )
+            else:
+                lanes = self.cols if name == "flat_gather" else self._scatter_cols()
+                cached = lanes + self._row_leads(row_width)
+            self._shared[name] = freeze_structure(cached)
+        return cached
+
     def flat_gather_indices(self) -> np.ndarray:
         """Raveled-dense gather index of every lane (cached).
 
@@ -309,19 +276,11 @@ class PaddedCSRMatrix:
         the kernels use — a single flat ``take`` is several times faster than
         ``np.take_along_axis`` at attention sizes.  Treat as read-only.
         """
-        cached = self._shared.get("flat_gather")
-        if cached is None:
-            cached = self.cols + self._row_leads(self.dense_cols)
-            self._shared["flat_gather"] = freeze_structure(cached)
-        return cached
+        return self._flat_table("flat_gather", self.dense_cols)
 
     def _flat_scatter_indices(self) -> np.ndarray:
         """Raveled scatter index into the trash-column-extended tile (cached)."""
-        cached = self._shared.get("flat_scatter")
-        if cached is None:
-            cached = self._scatter_cols() + self._row_leads(self.dense_cols + 1)
-            self._shared["flat_scatter"] = freeze_structure(cached)
-        return cached
+        return self._flat_table("flat_scatter", self.dense_cols + 1)
 
     @property
     def _shared(self) -> dict:

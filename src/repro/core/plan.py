@@ -20,7 +20,12 @@ module compiles the chain once instead:
   ``attention_bwd`` kernel.
 * :func:`plan_for_nm` / :func:`plan_for_structure` — the cached constructors
   every layer shares: the autograd ops, ``engine.AttentionEngine``, the
-  serving executor, and the bench runner.
+  serving batcher, and the bench runner.
+
+Every stage computes each batch slice with the shapes that slice alone
+fixes, so a stacked call is bitwise-equal to one call per slice.  Serving
+relies on this: requests sharing a structure run as one stacked call over
+``structure.broadcast_to((g,))`` and still get the bits they get alone.
 
 Backends provide plans through :func:`~repro.core.backend.register_plan_builder`:
 ``fast`` builds fused plans, ``reference`` builds staged plans that dispatch
@@ -294,7 +299,7 @@ def get_plan(key: PlanKey) -> AttentionPlan:
     return PLAN_CACHE.get(key)
 
 
-def _check_lengths(rows: int, dense_cols: int) -> None:
+def check_lengths(rows: int, dense_cols: int) -> None:
     """Reject an empty query or key sequence before any kernel sees it."""
     for name, length in (("query length (q.shape[-2])", rows),
                          ("key length (k.shape[-2])", dense_cols)):
@@ -312,7 +317,7 @@ def plan_for_nm(
     dtype: str = "float32",
 ) -> AttentionPlan:
     """Cached plan for the dynamic N:M pipeline on a given per-slice geometry."""
-    _check_lengths(rows, dense_cols)
+    check_lengths(rows, dense_cols)
     pattern = resolve_pattern(pattern)
     key = PlanKey(
         mechanism=f"dfss_{pattern.name}",
@@ -331,7 +336,7 @@ def plan_for_structure(
     dtype: str = "float32",
 ) -> AttentionPlan:
     """Cached plan for a mask-based compressed structure (padded CSR)."""
-    _check_lengths(structure.rows, structure.dense_cols)
+    check_lengths(structure.rows, structure.dense_cols)
     key = PlanKey(
         mechanism=str(mechanism),
         layout="csr",

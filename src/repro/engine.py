@@ -33,6 +33,7 @@ import numpy as np
 
 from repro import registry
 from repro.core.backend import use_backend
+from repro.core.plan import check_lengths
 
 __all__ = ["AttentionConfig", "AttentionEngine", "attention", "available_mechanisms"]
 
@@ -177,11 +178,13 @@ class AttentionEngine:
 
     def __call__(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Numpy forward pass through the mechanism, under the engine backend."""
+        check_lengths(np.shape(q)[-2], np.shape(k)[-2])
         with self._backend_scope():
             return self.mechanism()(q, k, v)
 
     def attention_mask(self, q: np.ndarray, k: np.ndarray) -> Optional[np.ndarray]:
         """Boolean mask over the dense score matrix, if the mechanism defines one."""
+        check_lengths(np.shape(q)[-2], np.shape(k)[-2])
         with self._backend_scope():
             return self.mechanism().attention_mask(q, k)
 
@@ -189,7 +192,7 @@ class AttentionEngine:
         """Compiled :class:`~repro.core.plan.AttentionPlan` for this mechanism.
 
         The plan is the fused sddmm → masked-softmax → spmm executable the
-        autograd ops, the serving executor, and the bench runner share; this
+        autograd ops, the serving batcher, and the bench runner share; this
         method exposes it for introspection and direct execution.  ``n_q`` /
         ``n_k`` default to ``seq_len_hint``.  Mechanisms that choose their
         structure from the data (Top-K, Routing, …) cannot be planned from
@@ -211,7 +214,10 @@ class AttentionEngine:
         n_k = n_q if n_k is None else int(n_k)
         pattern = getattr(self.config, "pattern", None)
         if pattern is not None and not self.spec.static_mask:
-            return plan_for_nm(pattern, n_q, n_k, backend=self.backend)
+            return plan_for_nm(
+                pattern, n_q, n_k, backend=self.backend,
+                dtype=getattr(self.config, "dtype", "float32"),
+            )
         if not self.spec.static_mask:
             raise ValueError(
                 f"mechanism {self.name!r} chooses its structure from the data; "

@@ -1,15 +1,22 @@
-"""Request preparation and ragged coalescing for the serving engine.
+"""Request preparation and batch execution for the serving engine.
 
 A :class:`~repro.serve.engine.ServeRequest` carries ``(..., seq, d)`` tensors
-with arbitrary leading dimensions (heads, beams).  Preparation flattens the
-leading dimensions into per-sequence *segments* — ``(seq, d)`` query/key/value
-slices plus the 2-D compressed structure of that slice's attention mask — and
-resolves the structure through the serving cache for static-mask mechanisms.
-Coalescing then block-diagonally concatenates any number of segments from any
-mix of mechanisms and sequence lengths
-(:meth:`~repro.core.padded_csr.PaddedCSRMatrix.concat_ragged`) and runs the
-width-invariant kernels of :mod:`repro.serve.executor` once over the whole
-batch.
+with arbitrary leading dimensions (heads, beams).  Preparation resolves the
+request's compressed attention structure at enqueue time:
+
+* static-mask mechanisms build one 2-D structure from a representative slice
+  and share it — through the :class:`~repro.serve.cache.StructureCache` —
+  with every head of every request of the same (mechanism, config, lengths);
+* content-dependent mechanisms (DFSS, Top-K, Routing, …) and explicit
+  ``mask=`` requests compress the request's own stacked masks into one
+  ``(n_segments, rows, width)`` structure.
+
+Execution runs every structure through the compiled
+:class:`~repro.core.plan.AttentionPlan` — the same fused sddmm → softmax →
+spmm path autograd and :class:`~repro.engine.AttentionEngine` use — with one
+stacked plan call per structure.  The plan's kernels compute every slice of a
+stack with the shapes that slice alone fixes, so a request's output is
+bitwise-identical whether it was served alone or inside any batch.
 
 Requests whose mechanism is not ``batchable`` never reach this path; the
 server executes them one by one through their
@@ -19,17 +26,15 @@ server executes them one by one through their
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.layout import SequenceSegments
 from repro.core.padded_csr import PaddedCSRMatrix
+from repro.core.plan import plan_for_structure
 from repro.serve.cache import StructureCache
-from repro.serve.executor import grouped_attention, grouped_plan, ragged_attention
 
 __all__ = [
-    "Segment",
     "PreparedRequest",
     "structure_cache_key",
     "prepare_request",
@@ -38,27 +43,21 @@ __all__ = [
 
 
 @dataclass
-class Segment:
-    """One ``(seq, d)`` slice of a request plus its compressed mask structure."""
-
-    q: np.ndarray
-    k: np.ndarray
-    v: np.ndarray
-    structure: PaddedCSRMatrix
-
-
-@dataclass
 class PreparedRequest:
-    """A request decomposed for execution: segments, route, cache accounting."""
+    """A request resolved for execution: route, structure, cache accounting."""
 
     request: "object"  # ServeRequest; untyped to avoid the circular import
     mechanism: str
     batchable: bool
-    segments: List[Segment]
+    #: compressed mask structure: a 2-D structure every segment shares
+    #: (static-mask mechanisms), or a ``(n_segments, rows, width)`` stack of
+    #: the request's own masks.  None on the engine fallback route, and
+    #: released by the server once the request has been executed.
+    structure: Optional[PaddedCSRMatrix]
     #: True/False for static-mask mechanisms (did the structure cache hit),
     #: None when no cache lookup happened (content-dependent or custom mask).
     cache_hit: Optional[bool]
-    #: fallback engine for non-batchable requests (None on the ragged path).
+    #: fallback engine for non-batchable requests (None on the batched path).
     engine: Optional[object] = None
 
 
@@ -80,155 +79,111 @@ def structure_cache_key(
     )
 
 
-def _compile_structure(mask: np.ndarray) -> PaddedCSRMatrix:
-    """Compress a static mask and pre-compile its grouped execution plan."""
-    structure = PaddedCSRMatrix.from_mask(np.asarray(mask, dtype=bool))
-    grouped_plan(structure)  # memoised on the structure's shared cache
-    return structure
-
-
 def _flatten(request) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reshape the request tensors to ``(n_segments, seq, d)``."""
     q, k, v = request.q, request.k, request.v
-    n_seg = int(np.prod(q.shape[:-2], dtype=np.int64)) if q.ndim > 2 else 1
-    q3 = q.reshape(n_seg, q.shape[-2], q.shape[-1])
-    k3 = k.reshape(n_seg, k.shape[-2], k.shape[-1])
-    v3 = v.reshape(n_seg, v.shape[-2], v.shape[-1])
-    return q3, k3, v3
+    n_seg = int(np.prod(q.shape[:-2], dtype=np.int64))
+    return (
+        q.reshape(n_seg, q.shape[-2], q.shape[-1]),
+        k.reshape(n_seg, k.shape[-2], k.shape[-1]),
+        v.reshape(n_seg, v.shape[-2], v.shape[-1]),
+    )
 
 
 def prepare_request(request, engine, cache: StructureCache) -> PreparedRequest:
-    """Decompose one request into segments, resolving structures via ``cache``.
+    """Resolve one request's route and structure, static masks via ``cache``.
 
     ``engine`` is the request's :class:`~repro.engine.AttentionEngine` (or
     ``None`` when the request carries an explicit ``mask``, which bypasses the
     mechanism registry entirely).  Structure resolution happens here — at
     enqueue time — so the deadline scheduler's flush is pure kernel work.
     """
+    q3, k3, _ = _flatten(request)
+    n_seg, n_q, n_k = q3.shape[0], q3.shape[1], k3.shape[1]
     if request.mask is not None:
-        q3, k3, v3 = _flatten(request)
-        n_seg, n_q, n_k = q3.shape[0], q3.shape[1], k3.shape[1]
         mask = np.asarray(request.mask, dtype=bool)
         if mask.shape[-2:] != (n_q, n_k):
             raise ValueError(
                 f"mask trailing shape {mask.shape[-2:]} != ({n_q}, {n_k})"
             )
-        if mask.ndim == 2:
-            shared = PaddedCSRMatrix.from_mask(mask)
-            structures = [shared] * n_seg
-        else:
-            m3 = np.broadcast_to(
-                mask, request.q.shape[:-2] + (n_q, n_k)
-            ).reshape(n_seg, n_q, n_k)
-            structures = [PaddedCSRMatrix.from_mask(m3[i]) for i in range(n_seg)]
-        segments = [
-            Segment(q3[i], k3[i], v3[i], structures[i]) for i in range(n_seg)
-        ]
-        return PreparedRequest(request, "mask", True, segments, None)
+        masks = np.broadcast_to(mask, request.q.shape[:-2] + (n_q, n_k))
+        structure = PaddedCSRMatrix.from_mask(masks.reshape(n_seg, n_q, n_k))
+        return PreparedRequest(request, "mask", True, structure, None)
 
     spec = engine.spec
     if not spec.batchable:
-        return PreparedRequest(request, spec.name, False, [], None, engine=engine)
+        return PreparedRequest(request, spec.name, False, None, None, engine=engine)
 
-    q3, k3, v3 = _flatten(request)
-    n_seg, n_q, n_k = q3.shape[0], q3.shape[1], k3.shape[1]
-    cache_hit: Optional[bool] = None
     if spec.static_mask:
         key = structure_cache_key(spec.name, engine.config, n_q, n_k)
         cache_hit = key in cache
         # the mask depends only on (config, lengths): one representative 2-D
-        # slice builds the structure every segment of every request shares,
-        # and the grouped execution plan is compiled right here so the cached
-        # entry carries it — batch flushes reuse the plan instead of
-        # recomputing the lane geometry per batch
+        # slice builds the structure every segment of every request shares
         shared = cache.get(
             key,
-            lambda: _compile_structure(engine.attention_mask(q3[0], k3[0])),
+            lambda: PaddedCSRMatrix.from_mask(
+                np.asarray(engine.attention_mask(q3[0], k3[0]), dtype=bool)
+            ),
         )
-        structures = [shared] * n_seg
-    else:
-        mask = engine.attention_mask(q3, k3)
-        if mask is None:
-            raise ValueError(
-                f"mechanism {spec.name!r} is flagged batchable but produced no "
-                f"attention mask"
-            )
-        m3 = np.broadcast_to(np.asarray(mask, dtype=bool), (n_seg, n_q, n_k))
-        structures = [PaddedCSRMatrix.from_mask(m3[i]) for i in range(n_seg)]
-    segments = [Segment(q3[i], k3[i], v3[i], structures[i]) for i in range(n_seg)]
-    return PreparedRequest(request, spec.name, True, segments, cache_hit)
+        return PreparedRequest(request, spec.name, True, shared, cache_hit)
+
+    mask = engine.attention_mask(q3, k3)
+    if mask is None:
+        raise ValueError(
+            f"mechanism {spec.name!r} is flagged batchable but produced no "
+            f"attention mask"
+        )
+    masks = np.broadcast_to(np.asarray(mask, dtype=bool), (n_seg, n_q, n_k))
+    return PreparedRequest(
+        request, spec.name, True, PaddedCSRMatrix.from_mask(masks), None
+    )
+
+
+def _attend(
+    structure: PaddedCSRMatrix,
+    mechanism: str,
+    q3: np.ndarray,
+    k3: np.ndarray,
+    v3: np.ndarray,
+) -> np.ndarray:
+    """One stacked plan call over a ``(g, rows, width)`` structure."""
+    plan = plan_for_structure(structure, mechanism=mechanism)
+    return plan.forward(q3, k3, v3, structure=structure)
 
 
 def run_ragged_batch(prepared: Sequence[PreparedRequest]) -> List[np.ndarray]:
-    """Execute batchable prepared requests as one ragged batch.
+    """Execute batchable prepared requests; one output per request.
 
-    Returns one output array per request, reshaped back to its leading
-    dimensions.  Segments sharing a cached structure object — different
-    heads, and different *requests* with the same (mechanism, config,
-    lengths) — are stacked and executed by one grouped fold per lane
-    (:func:`~repro.serve.executor.grouped_attention`); the remaining
-    one-of-a-kind segments (content-dependent or custom masks) are
-    block-diagonally coalesced through
-    :meth:`~repro.core.padded_csr.PaddedCSRMatrix.concat_ragged`.  Both paths
-    are width- and stacking-invariant, so every per-segment output is
-    bitwise-identical to a batch of one.
+    Every structure runs through the compiled
+    :class:`~repro.core.plan.AttentionPlan` of the current backend (the
+    server scopes its own).  Requests sharing one cached 2-D structure —
+    the same (mechanism, config, lengths) — are stacked into a single plan
+    call over ``structure.broadcast_to((g,))``, all their heads together; a
+    request with its own stacked structure makes one plan call for all its
+    heads.  Each output is reshaped back to its request's leading
+    dimensions and is bitwise-identical to a batch of one.
     """
-    segments = [seg for p in prepared for seg in p.segments]
-    if not segments:
-        return []
-    groups: "dict[int, List[int]]" = {}
-    for index, seg in enumerate(segments):
-        groups.setdefault(id(seg.structure), []).append(index)
-
-    outputs_by_segment: List[Optional[np.ndarray]] = [None] * len(segments)
-    singles: List[int] = []
-    for members in groups.values():
-        if len(members) == 1:
-            singles.append(members[0])
-            continue
-        stack = [segments[i] for i in members]
-        out3 = grouped_attention(
-            np.stack([s.q for s in stack]),
-            np.stack([s.k for s in stack]),
-            np.stack([s.v for s in stack]),
-            stack[0].structure,
-        )
-        for slot, i in enumerate(members):
-            outputs_by_segment[i] = out3[slot]
-
-    if singles:
-        stack = [segments[i] for i in singles]
-        structure = PaddedCSRMatrix.concat_ragged([s.structure for s in stack])
-        layout = SequenceSegments.from_lengths(
-            [s.q.shape[0] for s in stack], [s.k.shape[0] for s in stack]
-        )
-        blocks = [
-            (layout.row_offsets[i], layout.row_offsets[i + 1])
-            for i in range(len(layout))
-        ]
-        key_blocks = [
-            (layout.key_offsets[i], layout.key_offsets[i + 1])
-            for i in range(len(layout))
-        ]
-        out = ragged_attention(
-            np.concatenate([s.q for s in stack], axis=0),
-            np.concatenate([s.k for s in stack], axis=0),
-            np.concatenate([s.v for s in stack], axis=0),
-            structure,
-            row_blocks=blocks,
-            key_blocks=key_blocks,
-        )
-        for i, part in zip(singles, layout.split_rows(out)):
-            outputs_by_segment[i] = part
-
-    outputs: List[np.ndarray] = []
-    cursor = 0
-    for p in prepared:
-        chunk = outputs_by_segment[cursor:cursor + len(p.segments)]
-        cursor += len(p.segments)
-        lead = p.request.q.shape[:-2]
-        if lead:
-            outputs.append(np.stack(chunk, axis=0).reshape(lead + chunk[0].shape))
+    outputs: List[Optional[np.ndarray]] = [None] * len(prepared)
+    shared: Dict[int, List[int]] = {}
+    for index, p in enumerate(prepared):
+        if p.structure.batch_shape:
+            outputs[index] = _attend(p.structure, p.mechanism, *_flatten(p.request))
         else:
-            outputs.append(chunk[0])
-    return outputs
+            shared.setdefault(id(p.structure), []).append(index)
+
+    for members in shared.values():
+        parts = [_flatten(prepared[i].request) for i in members]
+        q3, k3, v3 = (np.concatenate(stage, axis=0) for stage in zip(*parts))
+        first = prepared[members[0]]
+        out3 = _attend(
+            first.structure.broadcast_to((q3.shape[0],)), first.mechanism, q3, k3, v3
+        )
+        cursor = 0
+        for i, (q_i, _, _) in zip(members, parts):
+            outputs[i] = out3[cursor:cursor + q_i.shape[0]]
+            cursor += q_i.shape[0]
+
+    return [
+        out.reshape(p.request.q.shape[:-1] + (out.shape[-1],))
+        for p, out in zip(prepared, outputs)
+    ]

@@ -5,11 +5,11 @@ The first API in this repo designed around *requests* rather than tensors: a
 leading dimensions, any sequence length), and the :class:`AttentionServer`
 decides how to execute it.
 
-* Requests of ``batchable`` mechanisms are coalesced — across *different*
-  mechanisms and *different* sequence lengths — into one ragged padded-CSR
-  batch (:mod:`repro.serve.batcher`) executed by width-invariant kernels
-  (:mod:`repro.serve.executor`), so a request's output is bitwise-identical
-  whether it was served alone or inside any batch.
+* Requests of ``batchable`` mechanisms are batched — across *different*
+  mechanisms and *different* sequence lengths — and executed through the
+  compiled :class:`~repro.core.plan.AttentionPlan` under the server's
+  ``backend`` (:mod:`repro.serve.batcher`), so a request's output is
+  bitwise-identical whether it was served alone or inside any batch.
 * Static-mask structures are cached across requests
   (:class:`~repro.serve.cache.StructureCache`).
 * Queues drain under a deadline-aware scheduler: a compatibility queue is
@@ -18,6 +18,8 @@ decides how to execute it.
 * Non-batchable mechanisms fall back to per-request execution through their
   :class:`~repro.engine.AttentionEngine` — every registered mechanism is
   servable, batched or not.
+* Every result says whether its output is finite (``ServeResult.finite``);
+  the server counts the ones that are not.
 
 Three entry points::
 
@@ -36,11 +38,14 @@ import asyncio
 import itertools
 import time
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Hashable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.core.backend import use_backend
+from repro.core.plan import check_lengths
 from repro.engine import AttentionEngine
 from repro.profile.tracer import current_tracer
 from repro.serve.batcher import PreparedRequest, prepare_request, run_ragged_batch
@@ -55,9 +60,10 @@ class ServeRequest:
 
     ``k`` and ``v`` default to ``q`` (self-attention on a shared projection);
     ``mask`` bypasses the mechanism registry and serves an explicit boolean
-    attention mask through the ragged pipeline.  ``max_wait_s`` overrides the
+    attention mask through the compiled plan.  ``max_wait_s`` overrides the
     server's batching deadline for this request; ``arrival_offset_s`` is the
-    synthetic-workload arrival time used when replaying a trace.
+    synthetic-workload arrival time used when replaying a trace.  Empty query
+    or key sequences are rejected here, before the request can join a batch.
     """
 
     q: np.ndarray
@@ -82,6 +88,7 @@ class ServeRequest:
             raise ValueError("q and k must share the head dimension")
         if self.k.shape[-2] != self.v.shape[-2]:
             raise ValueError("k and v must share the sequence length")
+        check_lengths(self.q.shape[-2], self.k.shape[-2])
 
     @property
     def seq_len(self) -> int:
@@ -100,8 +107,8 @@ class ServeResult:
     output: np.ndarray
     mechanism: str
     seq_len: int
-    #: whether the request ran through the ragged coalesced pipeline
-    #: (True even for a batch of one) or the per-request engine fallback.
+    #: whether the request ran through the batched plan path (True even for
+    #: a batch of one) or the per-request engine fallback.
     batched: bool
     #: number of requests that shared this request's batch (>= 1).
     batch_requests: int
@@ -109,6 +116,9 @@ class ServeResult:
     #: None when no cache lookup applied.
     cache_hit: Optional[bool]
     latency_s: Optional[float] = None
+    #: False when the output holds a NaN or an infinity (e.g. from a
+    #: non-finite input); batch-mates of such a request are unaffected.
+    finite: bool = True
 
 
 @dataclass
@@ -127,7 +137,7 @@ class AttentionServer:
     The scheduler core is synchronous and clock-injectable (``clock`` swaps
     ``time.monotonic`` for a fake in tests); the asyncio surface
     (:meth:`submit`, ``async with``) wraps it with a wake-on-enqueue drain
-    loop.  ``max_batch_size`` bounds how many requests one ragged batch may
+    loop.  ``max_batch_size`` bounds how many requests one batch may
     coalesce; ``max_wait_s`` bounds how long a request may sit in its queue
     waiting for batchmates.
     """
@@ -157,6 +167,7 @@ class AttentionServer:
         self.served_requests = 0
         self.served_batches = 0
         self.coalesced_requests = 0
+        self.nonfinite_requests = 0
 
     # ------------------------------------------------------------- sync core
     def _engine(self, mechanism: str, options: Mapping[str, object]) -> AttentionEngine:
@@ -254,7 +265,9 @@ class AttentionServer:
 
     def _execute_inner(self, batch: Sequence[_Pending]) -> List[ServeResult]:
         if batch and batch[0].prepared.batchable:
-            outputs = run_ragged_batch([p.prepared for p in batch])
+            scope = nullcontext() if self.backend is None else use_backend(self.backend)
+            with scope:
+                outputs = run_ragged_batch([p.prepared for p in batch])
             batched = True
         else:
             outputs = [
@@ -268,6 +281,12 @@ class AttentionServer:
         results = []
         for pending, output in zip(batch, outputs):
             prepared = pending.prepared
+            # a delivered request no longer needs its structure (nor the
+            # index tables the kernels cached on it); cached static
+            # structures stay alive in the structure cache
+            prepared.structure = None
+            finite = bool(np.isfinite(output).all())
+            self.nonfinite_requests += not finite
             result = ServeResult(
                 request_id=prepared.request.request_id,
                 output=output,
@@ -277,6 +296,7 @@ class AttentionServer:
                 batch_requests=len(batch),
                 cache_hit=prepared.cache_hit,
                 latency_s=max(done - pending.arrival, 0.0),
+                finite=finite,
             )
             pending.result = result
             if pending.future is not None and not pending.future.done():
@@ -293,6 +313,7 @@ class AttentionServer:
             "served_requests": self.served_requests,
             "served_batches": self.served_batches,
             "coalesced_requests": self.coalesced_requests,
+            "nonfinite_requests": self.nonfinite_requests,
             "pending": self.pending_count,
             "structure_cache": self.cache.stats(),
         }
@@ -364,7 +385,7 @@ def serve(
 ) -> List[ServeResult]:
     """Serve a request list offline: enqueue everything, drain, return in order.
 
-    The scheduler still groups compatible requests into ragged batches of at
+    The scheduler still groups compatible requests into batches of at
     most ``max_batch_size``; ``max_batch_size=1`` is the sequential
     per-request baseline the ``serving_throughput`` benchmark compares
     against.  Results are returned in request order.

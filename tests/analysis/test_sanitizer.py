@@ -16,7 +16,7 @@ from repro.core.softmax import MASKED_LOGIT_THRESHOLD
 from repro.core.sparse import NMSparseMatrix
 from repro.nn.autograd import Tensor
 from repro.nn.sparse_attention import dfss_sparse_attention, masked_sparse_attention
-from repro.serve.executor import grouped_attention, ragged_attention
+from repro.serve import ServeRequest, serve
 
 
 @pytest.fixture
@@ -170,16 +170,21 @@ class TestCleanPathsUnderSanitizer:
 
     def test_serving_paths_guard_and_pass(self, sanitize):
         rng = np.random.default_rng(5)
-        q, k, v = _qkv(rows=8, cols=8, seed=5)
-        structure = PaddedCSRMatrix.from_mask(np.tril(np.ones((8, 8), dtype=bool)))
-        out = ragged_attention(q, k, v, structure)
-        assert np.all(np.isfinite(out))
         q3 = rng.standard_normal((2, 8, 4)).astype(np.float32)
-        k3 = rng.standard_normal((2, 8, 4)).astype(np.float32)
-        v3 = rng.standard_normal((2, 8, 4)).astype(np.float32)
-        out3 = grouped_attention(q3, k3, v3, structure)
-        assert np.all(np.isfinite(out3))
+        before = q3.copy()
+        requests = [
+            # two requests sharing one cached structure: one stacked plan call
+            ServeRequest(q=q3, mechanism="local", options={"window": 2}),
+            ServeRequest(q=q3[::-1].copy(), mechanism="local", options={"window": 2}),
+            ServeRequest(q=q3, mechanism="dfss_2:4"),
+            ServeRequest(q=q3[0], mask=np.tril(np.ones((8, 8), dtype=bool))),
+        ]
+        results = serve(requests, max_batch_size=4)
+        assert [r.batch_requests for r in results] == [4] * 4
+        for result in results:
+            assert result.finite and np.all(np.isfinite(result.output))
         # user inputs were handed to the kernels read-only, not consumed
+        assert q3.tobytes() == before.tobytes()
         q3[0, 0, 0] = 9.0  # still writable by the caller
 
     def test_guard_input_views_share_memory(self, sanitize):

@@ -154,6 +154,20 @@ class TestEmptySequence:
         with pytest.raises(ValueError, match="query length"):
             repro.attention(empty, empty, empty, mechanism="dfss")
 
+    @pytest.mark.parametrize("mechanism", ["local", "full"])
+    def test_engine_rejects_an_empty_sequence_before_the_mechanism(self, mechanism):
+        import repro
+
+        empty = np.zeros((2, 0, 16), dtype=np.float32)
+        keys = np.zeros((2, 8, 16), dtype=np.float32)
+        with pytest.raises(ValueError, match="non-empty sequence: query length"):
+            repro.attention(empty, keys, keys, mechanism=mechanism)
+        with pytest.raises(ValueError, match="non-empty sequence: key length"):
+            repro.attention(keys, empty, empty, mechanism=mechanism)
+        engine = AttentionEngine(mechanism)
+        with pytest.raises(ValueError, match="non-empty sequence: query length"):
+            engine.attention_mask(empty, keys)
+
 
 class TestOneExecutionPath:
     """No entry point offers a switch between execution arms."""
@@ -265,6 +279,15 @@ class TestEnginePlan:
         assert plan.key.layout == "csr"
         assert plan.key.mechanism == "local"
         assert plan.key.shape_class[:2] == (24, 24)
+
+    @pytest.mark.parametrize("dtype", ["float32", "bfloat16"])
+    def test_dfss_engine_plan_matches_the_engine_bitwise(self, dtype):
+        engine = AttentionEngine("dfss", pattern="2:4", dtype=dtype)
+        plan = engine.plan(64)
+        assert plan.key.dtype == dtype
+        rng = np.random.default_rng(11)
+        q, k, v = (rng.standard_normal((2, 64, 16), dtype=np.float32) for _ in range(3))
+        assert plan.forward(q, k, v).tobytes() == engine(q, k, v).tobytes()
 
     def test_engine_plan_defaults_to_seq_len_hint(self):
         engine = AttentionEngine("local", window=4, seq_len_hint=16)

@@ -223,3 +223,33 @@ class TestCacheStats:
             assert "provider failed" in active.metadata[name]
         finally:
             tracer_mod._METADATA_PROVIDERS.pop(name, None)
+
+
+class TestServingTrace:
+    def test_serving_burst_runs_registry_kernels_under_plan_labels(self):
+        from repro.serve import ServeRequest, serve, synthetic_workload
+
+        requests = synthetic_workload(6, seq_lens=(32, 64), heads=2, head_dim=16)
+        rng = np.random.default_rng(0)
+        requests.append(
+            ServeRequest(
+                q=rng.standard_normal((2, 32, 16), dtype=np.float32),
+                mechanism="dfss_2:4",
+            )
+        )
+        # plans carry canonical mechanism names: "dfss_2:4" plans as "dfss"
+        served = {r.mechanism for r in requests[:-1]} | {"dfss"}
+        with trace() as active:
+            with active.span("serve_burst", "step"):
+                serve(requests, max_batch_size=8)
+        stages = [
+            e for e in active.events
+            if e.get("cat") == "kernel"
+            and e["name"] in ("sddmm_csr", "masked_softmax", "spmm")
+        ]
+        assert {e["name"] for e in stages} == {"sddmm_csr", "masked_softmax", "spmm"}
+        for event in stages:
+            assert event["args"]["layout"] == "csr"
+            assert event["args"]["mechanism"] in served
+        assert served == {e["args"]["mechanism"] for e in stages}
+        assert all(e["args"].get("backend") != "serve" for e in active.events)

@@ -49,9 +49,9 @@ class TestPrepareRequest:
         assert cache.stats() == {
             "hits": 1, "misses": 1, "evictions": 0, "entries": 1, "size": 1,
         }
-        # every segment of every request shares the one cached structure
-        shared = {id(s.structure) for p in (first, second) for s in p.segments}
-        assert len(shared) == 1
+        # every head of every request shares the one cached 2-D structure
+        assert second.structure is first.structure
+        assert first.structure.batch_shape == ()
 
     def test_different_lengths_use_different_cache_entries(self):
         rng = np.random.default_rng(1)
@@ -68,10 +68,8 @@ class TestPrepareRequest:
         assert prepared.batchable
         assert prepared.cache_hit is None
         assert len(cache) == 0
-        # per-segment structures: content differs per head slice
-        assert len({id(s.structure) for s in prepared.segments}) == len(
-            prepared.segments
-        )
+        # one structure stacking the request's own per-head masks
+        assert prepared.structure.batch_shape == (2,)
 
     def test_non_batchable_mechanism_falls_back_to_engine(self):
         rng = np.random.default_rng(3)
@@ -80,17 +78,19 @@ class TestPrepareRequest:
             _request(rng, mechanism="linformer", options={}, seq=64), cache
         )
         assert not prepared.batchable
-        assert prepared.segments == []
+        assert prepared.structure is None
         assert prepared.engine is not None
 
-    def test_custom_2d_mask_shares_one_structure(self):
+    def test_custom_2d_mask_broadcasts_over_heads(self):
         rng = np.random.default_rng(4)
         cache = StructureCache()
         mask = np.tri(32, dtype=bool)
         prepared = _prepare(_request(rng, mask=mask), cache)
         assert prepared.mechanism == "mask"
         assert prepared.batchable
-        assert len({id(s.structure) for s in prepared.segments}) == 1
+        assert prepared.structure.batch_shape == (2,)
+        assert np.array_equal(prepared.structure.to_mask()[1], mask)
+        assert len(cache) == 0
 
     def test_custom_mask_shape_mismatch_rejected(self):
         rng = np.random.default_rng(5)
@@ -144,21 +144,3 @@ class TestRunRaggedBatch:
         )
         out = run_ragged_batch([_prepare(request, StructureCache())])[0]
         assert out.shape == (32, 16)
-
-
-class TestCachedStructureCarriesPlan:
-    def test_static_mask_cache_entry_is_precompiled(self):
-        rng = np.random.default_rng(42)
-        cache = StructureCache()
-        prepared = _prepare(_request(rng), cache)
-        structure = prepared.segments[0].structure
-        # the cache-fill lambda compiles the grouped plan at enqueue time, so
-        # the flush never pays the lane-geometry setup
-        assert "grouped_plan" in structure._shared
-        from repro.serve.executor import grouped_plan
-
-        plan = structure._shared["grouped_plan"]
-        assert grouped_plan(structure) is plan
-        # a second request hits the cache and reuses the same compiled plan
-        again = _prepare(_request(rng), cache)
-        assert again.segments[0].structure._shared["grouped_plan"] is plan

@@ -1,17 +1,11 @@
-"""Bitwise-isolation and correctness tests for the ragged serving kernels."""
+"""The left-fold serving oracle, and the fused plan serving runs against it."""
 
 import numpy as np
 import pytest
 
-from repro.core.layout import SequenceSegments
 from repro.core.padded_csr import PaddedCSRMatrix
-from repro.serve.executor import (
-    grouped_attention,
-    ragged_attention,
-    ragged_masked_softmax,
-    ragged_sddmm,
-    ragged_spmm,
-)
+from repro.core.plan import plan_for_structure
+from repro.serve.executor import ragged_masked_softmax, ragged_sddmm, ragged_spmm
 
 
 def _band_structure(n, half_width):
@@ -66,6 +60,8 @@ class TestStagedKernels:
 
 
 class TestFusedKernels:
+    """The fused plan serving runs, checked against the left-fold oracle."""
+
     def test_fused_agrees_with_staged(self):
         rng = np.random.default_rng(3)
         st = _band_structure(64, 5)
@@ -73,49 +69,27 @@ class TestFusedKernels:
         staged = ragged_spmm(
             ragged_masked_softmax(ragged_sddmm(q, k, st), st), st, v
         )
-        fused = ragged_attention(q, k, v, st)
+        fused = plan_for_structure(st).forward(q, k, v, structure=st)
         np.testing.assert_allclose(fused, staged, rtol=0, atol=1e-5)
 
-    def test_route_identity_grouped_blocked_g1(self):
-        """grouped slice == blocked 2-D == grouped g=1, bitwise."""
+    @pytest.mark.parametrize("backend", ["fast", "reference"])
+    def test_stacked_slices_equal_single_calls(self, backend):
+        """A stacked plan call == one call per slice == a stack of one, bitwise."""
         rng = np.random.default_rng(4)
         st = _band_structure(48, 3)
         g = 5
         q3, k3, v3 = _qkv(rng, g, 48, 16)
-        out_g = grouped_attention(q3, k3, v3, st)
+        stacked = st.broadcast_to((g,))
+        plan = plan_for_structure(stacked, backend=backend)
+        out_g = plan.forward(q3, k3, v3, structure=stacked)
+        one = st.broadcast_to((1,))
         for i in range(g):
-            solo = ragged_attention(q3[i], k3[i], v3[i], st)
-            g1 = grouped_attention(q3[i : i + 1], k3[i : i + 1], v3[i : i + 1], st)[0]
+            solo = plan.forward(q3[i], k3[i], v3[i], structure=st)
+            g1 = plan.forward(
+                q3[i : i + 1], k3[i : i + 1], v3[i : i + 1], structure=one
+            )[0]
             assert out_g[i].tobytes() == solo.tobytes()
             assert out_g[i].tobytes() == g1.tobytes()
-
-    def test_block_diagonal_concat_matches_solo_bitwise(self):
-        """The serving coalesce path: mixed lengths, per-sequence blocks."""
-        rng = np.random.default_rng(5)
-        lens = [32, 48, 24, 48]
-        structures = [_band_structure(n, 4) for n in lens]
-        parts = [_qkv(rng, n, 16) for n in lens]
-        cat = PaddedCSRMatrix.concat_ragged(structures)
-        layout = SequenceSegments.from_lengths(lens)
-        row_blocks = [
-            (layout.row_offsets[i], layout.row_offsets[i + 1])
-            for i in range(len(layout))
-        ]
-        key_blocks = [
-            (layout.key_offsets[i], layout.key_offsets[i + 1])
-            for i in range(len(layout))
-        ]
-        out = ragged_attention(
-            np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
-            np.concatenate([p[2] for p in parts]),
-            cat,
-            row_blocks=row_blocks,
-            key_blocks=key_blocks,
-        )
-        for i, part in enumerate(layout.split_rows(out)):
-            solo = ragged_attention(*parts[i], structures[i])
-            assert part.tobytes() == solo.tobytes()
 
     def test_fused_fully_masked_rows_are_exact_zero(self):
         rng = np.random.default_rng(6)
@@ -123,57 +97,20 @@ class TestFusedKernels:
         mask[:4, :4] = True
         st = PaddedCSRMatrix.from_mask(mask)
         q, k, v = _qkv(rng, 16, 8)
-        out = ragged_attention(q, k, v, st)
+        out = plan_for_structure(st).forward(q, k, v, structure=st)
         assert np.all(out[4:] == 0.0)
-        g_out = grouped_attention(q[None], k[None], v[None], st)
-        assert g_out[0].tobytes() == out.tobytes()
+        empty = PaddedCSRMatrix.from_mask(np.zeros((16, 16), dtype=bool))
+        out = plan_for_structure(empty).forward(q, k, v, structure=empty)
+        assert np.all(out == 0.0)
 
     def test_explicit_scale(self):
         rng = np.random.default_rng(7)
         st = _band_structure(16, 2)
         q, k, v = _qkv(rng, 16, 8)
-        default = ragged_attention(q, k, v, st)
-        explicit = ragged_attention(q, k, v, st, scale=1.0 / np.sqrt(8))
+        plan = plan_for_structure(st)
+        default = plan.forward(q, k, v, structure=st)
+        explicit = plan.forward(q, k, v, structure=st, scale=1.0 / np.sqrt(8))
         assert default.tobytes() == explicit.tobytes()
-        assert not np.array_equal(ragged_attention(q, k, v, st, scale=1.0), default)
-
-    def test_mismatched_key_blocks_rejected(self):
-        rng = np.random.default_rng(8)
-        st = _band_structure(16, 2)
-        q, k, v = _qkv(rng, 16, 8)
-        with pytest.raises(ValueError, match="key blocks"):
-            ragged_attention(
-                q, k, v, st, row_blocks=[(0, 8), (8, 16)], key_blocks=[(0, 16)]
-            )
-
-
-class TestGroupedPlan:
-    def test_memoised_on_the_structure(self):
-        from repro.serve.executor import grouped_plan
-
-        st = _band_structure(32, 3)
-        plan = grouped_plan(st)
-        assert grouped_plan(st) is plan
-        # with_values siblings share the structure cache by reference, so
-        # the compiled plan survives value rebinds (the serving hot loop)
-        sibling = st.with_values(st.values * 2.0)
-        assert grouped_plan(sibling) is plan
-
-    def test_plan_call_bitwise_equals_grouped_attention(self):
-        from repro.serve.executor import grouped_plan
-
-        rng = np.random.default_rng(9)
-        st = _band_structure(40, 4)
-        q3, k3, v3 = _qkv(rng, 3, 40, 16)
-        scale = 1.0 / np.sqrt(16.0)
-        via_plan = grouped_plan(st)(q3 * np.float32(scale), k3, v3)
-        assert via_plan.tobytes() == grouped_attention(q3, k3, v3, st).tobytes()
-
-    def test_zero_width_structure(self):
-        from repro.serve.executor import grouped_plan
-
-        st = PaddedCSRMatrix.from_mask(np.zeros((8, 8), dtype=bool))
-        rng = np.random.default_rng(10)
-        q3, k3, v3 = _qkv(rng, 2, 8, 4)
-        out = grouped_plan(st)(q3, k3, v3)
-        assert out.shape == (2, 8, 4) and np.all(out == 0.0)
+        assert not np.array_equal(
+            plan.forward(q, k, v, structure=st, scale=1.0), default
+        )

@@ -49,6 +49,15 @@ class TestServeRequest:
                 v=np.zeros((5, 8), dtype=np.float32),
             )
 
+    def test_empty_sequence_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="non-empty sequence: query length"):
+            ServeRequest(q=np.zeros((2, 0, 8), dtype=np.float32))
+        with pytest.raises(ValueError, match="non-empty sequence: key length"):
+            ServeRequest(
+                q=np.zeros((4, 8), dtype=np.float32),
+                k=np.zeros((0, 8), dtype=np.float32),
+            )
+
 
 class TestScheduler:
     def test_single_request_batch(self):
@@ -152,6 +161,36 @@ class TestScheduler:
         assert stats["structure_cache"] == {
             "hits": 1, "misses": 2, "evictions": 0, "entries": 2, "size": 2,
         }
+
+    def test_nonfinite_output_is_flagged_and_isolated(self, monkeypatch):
+        # the sanitizer turns any non-finite output into an error; this pins
+        # the unsanitized contract, where a bad request is served and flagged
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        rng = np.random.default_rng(12)
+        bad = _request(rng, request_id="bad")
+        bad.q[0, 3, 1] = np.nan
+        clean = _request(rng, request_id="clean")  # shares bad's plan call
+        bad_dynamic = _request(rng, "dfss_2:4", {}, request_id="bad_dynamic")
+        bad_dynamic.q[0, 5, 0] = np.nan
+        server = AttentionServer(max_batch_size=8)
+        results = serve([bad, clean, bad_dynamic], server=server)
+        assert [r.finite for r in results] == [False, True, False]
+        assert results[0].batch_requests == 3
+        assert server.stats()["nonfinite_requests"] == 2
+        alone = serve([clean], max_batch_size=1)[0]
+        assert alone.finite
+        assert results[1].output.tobytes() == alone.output.tobytes()
+
+    def test_reference_backend_is_honoured(self):
+        rng = np.random.default_rng(13)
+        requests = [_request(rng, request_id=f"r{i}", seq=32) for i in range(3)]
+        fast = serve(requests, backend="fast")
+        reference = serve(requests, backend="reference")
+        for f, r in zip(fast, reference):
+            np.testing.assert_allclose(r.output, f.output, rtol=1e-5, atol=1e-6)
+        # the staged reference plan is a different computation, not a relabel
+        assert any(f.output.tobytes() != r.output.tobytes()
+                   for f, r in zip(fast, reference))
 
     def test_shared_structure_cache_across_servers(self):
         cache = StructureCache()
