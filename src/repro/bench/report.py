@@ -28,6 +28,11 @@
       ]
     }
 
+``sddmm_nm`` rows additionally carry ``gemm_median_s`` (median time of the
+plain ``Q Kᵀ`` matmul at the same shape) and ``gemm_ratio`` (the row's median
+over it): how much the fused pruning epilogue costs on top of its GEMM.  The
+columns are report-only; no gate reads them.
+
 ``serving_throughput`` rows (backend ``sequential``/``batched``, shape
 ``B2xH4xL256xD64/serve-mix12``) additionally carry ``requests_per_s`` and
 ``latency_p50_s``/``latency_p95_s``/``latency_p99_s`` columns; their
@@ -72,7 +77,7 @@ def results_to_payload(
         }
         if r.extra:
             # kernel-specific columns (serving_throughput: requests_per_s and
-            # latency percentiles); absent on ordinary kernel rows
+            # latency percentiles; sddmm_nm: gemm_median_s and gemm_ratio)
             row.update(r.extra)
         if include_timings:
             row["timings_s"] = r.timings_s
@@ -112,9 +117,12 @@ def format_table(results: Iterable[BenchResult]) -> str:
     lines = [header, "-" * len(header)]
     for r in results:
         parity = f"{r.parity_max_rel_err:.1e}" if r.parity_max_rel_err is not None else "-"
-        lines.append(
+        line = (
             f"{r.kernel:<16} {r.shape:<24} {r.backend:<10} "
             f"{r.median_s * 1e3:>8.2f}ms {r.p10_s * 1e3:>8.2f}ms {r.p90_s * 1e3:>8.2f}ms "
             f"{r.speedup:>7.2f}x {parity:>10}"
         )
+        if r.extra and "gemm_ratio" in r.extra:
+            line += f"  {r.extra['gemm_ratio']:.1f}x its GEMM"
+        lines.append(line)
     return "\n".join(lines)

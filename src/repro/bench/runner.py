@@ -134,8 +134,12 @@ def _rel_frobenius(candidate: np.ndarray, reference: np.ndarray) -> float:
 
 def _bench_cases(
     shape: BenchShape, pattern: str, rng: np.random.Generator
-) -> Dict[str, Tuple[Callable[[str], object], Callable[[object], np.ndarray]]]:
-    """Per-kernel ``(run(backend), densify(output))`` closures on shared inputs."""
+) -> Tuple[
+    Dict[str, Tuple[Callable[[str], object], Callable[[object], np.ndarray]]],
+    Callable[[], np.ndarray],
+]:
+    """Per-kernel ``(run(backend), densify(output))`` closures on shared inputs,
+    plus the plain ``Q Kᵀ`` GEMM at the same shape (the ``sddmm_nm`` yardstick)."""
     dims = (shape.batch, shape.heads, shape.seq_len, shape.head_dim)
     q = rng.normal(size=dims).astype(np.float32)
     k = rng.normal(size=dims).astype(np.float32)
@@ -164,7 +168,7 @@ def _bench_cases(
             [out.data.ravel(), qt.grad.ravel(), kt.grad.ravel(), vt.grad.ravel()]
         )
 
-    return {
+    cases = {
         "sddmm_nm": (
             lambda backend: sddmm_nm(q, k, pattern=pattern, backend=backend),
             lambda out: out.to_dense(0.0),
@@ -190,6 +194,7 @@ def _bench_cases(
             lambda out: out,
         ),
     }
+    return cases, lambda: np.matmul(q, np.swapaxes(k, -1, -2))
 
 
 def run_benchmarks(
@@ -243,11 +248,16 @@ def run_benchmarks(
     for pattern in patterns:
         resolve_pattern(pattern)  # fail fast on typos
         rng = new_rng(seed)
-        cases = _bench_cases(shape, pattern, rng)
+        cases, qk_gemm = _bench_cases(shape, pattern, rng)
         for kernel in selected:
             run, densify = cases[kernel]
             baseline_out = densify(run(baseline_backend))
             baseline_median: Optional[float] = None
+            gemm_median = (
+                float(np.median(_time(qk_gemm, repeats, warmup)))
+                if kernel == "sddmm_nm"
+                else None
+            )
             for backend in backends:
                 parity = (
                     None
@@ -258,6 +268,13 @@ def run_benchmarks(
                     kernel, shape.label(pattern), backend, lambda: run(backend),
                     repeats, warmup, baseline_median, parity,
                 )
+                if gemm_median is not None:
+                    # report only: how far the pruning epilogue is from riding
+                    # free on its GEMM (the paper's claim); no gate reads it
+                    row.extra = {
+                        "gemm_median_s": gemm_median,
+                        "gemm_ratio": row.median_s / gemm_median,
+                    }
                 if backend == baseline_backend:
                     baseline_median = row.median_s
                 results.append(row)

@@ -84,20 +84,26 @@ def dtype_bytes(dtype: str) -> int:
     return DTYPE_BYTES[dtype]
 
 
+def tensor_core_operands(a: np.ndarray, b: np.ndarray, dtype: str = "float32"):
+    """Round both operands of ``a @ b`` to the tensor-core input precision.
+
+    float32 operands are truncated to tensorfloat-32 (Appendix A.1.2: "float
+    data will be converted to tensorfloat-32 before wmma"); bfloat16 operands
+    are rounded to bfloat16.  Both results are float32 arrays.
+    """
+    if dtype in ("float32", "tfloat32"):
+        return to_tfloat32(a), to_tfloat32(b)
+    if dtype == "bfloat16":
+        return to_bfloat16(a), to_bfloat16(b)
+    if dtype == "float16":
+        return to_float16(a), to_float16(b)
+    raise ValueError(f"unsupported dtype {dtype!r}")
+
+
 def simulate_tensor_core_matmul(a: np.ndarray, b: np.ndarray, dtype: str = "float32") -> np.ndarray:
     """Matrix multiply with operand precision matching the Ampere tensor core.
 
-    float32 operands are truncated to tensorfloat-32 before the multiply
-    (Appendix A.1.2: "float data will be converted to tensorfloat-32 before
-    wmma"); bfloat16 operands are rounded to bfloat16.  Accumulation is always
-    performed in float32, as on the hardware.
+    The operands are rounded by :func:`tensor_core_operands`; accumulation is
+    always performed in float32, as on the hardware.
     """
-    if dtype in ("float32", "tfloat32"):
-        a_q, b_q = to_tfloat32(a), to_tfloat32(b)
-    elif dtype == "bfloat16":
-        a_q, b_q = to_bfloat16(a), to_bfloat16(b)
-    elif dtype == "float16":
-        a_q, b_q = to_float16(a), to_float16(b)
-    else:
-        raise ValueError(f"unsupported dtype {dtype!r}")
-    return np.matmul(a_q.astype(np.float32), b_q.astype(np.float32))
+    return np.matmul(*tensor_core_operands(a, b, dtype))

@@ -13,9 +13,22 @@ Two backends are registered with :mod:`repro.core.backend`:
   kernel (:func:`sddmm_nm_tiled`) that mirrors the CUDA kernel's blocking
   (Mtile x Ntile thread-block tiles, 32 x 64-byte epilogue tiles) and doubles
   as the traffic-count oracle for the performance model;
-* ``fast`` — a single batched tensor contraction over all ``(B, H)`` slices
-  followed by the vectorised selection-network compress
-  (:func:`repro.core.pruning.nm_compress_fast`), with no Python-level loops.
+* ``fast`` — the CPU form of "prune in the epilogue": Q and K are rounded to
+  the tensor-core precision once, the GEMM covers whole ``(B, H)`` slices
+  (several small ones at a time), and each cache-sized row block of the
+  scores (:func:`repro.utils.shapes.row_blocks`, 64K elements) is scaled,
+  masked and pruned by the vectorised selection networks
+  (:func:`repro.core.pruning.nm_compress_fast`) while it is still resident,
+  straight into the preallocated compressed outputs.  The result is bitwise
+  equal to pruning the whole ``scale * Q Kᵀ`` tensor in one pass.  The GEMM is
+  not split into row blocks because BLAS may pick another kernel, and so
+  another summation order, for a row block than for the whole slice.
+
+The scale follows NumPy's promotion of ``scores * scale``: the default
+``1/sqrt(d)`` is a float64 scalar, so the product is formed in float64 and
+rounded to float32.  When that scale is exactly representable in float32 (as
+``1/8`` for ``d = 64`` is), a float32 multiply rounds the same exact product
+once and is used instead; otherwise the float64 multiply is kept.
 """
 
 from __future__ import annotations
@@ -28,10 +41,14 @@ import numpy as np
 from repro.core.backend import FAST, REFERENCE, get_kernel, register_kernel
 from repro.core.blocked_ell import BlockedEllMask
 from repro.core.patterns import default_pattern_for_dtype, resolve_pattern
-from repro.core.precision import dtype_bytes, simulate_tensor_core_matmul
+from repro.core.precision import (
+    dtype_bytes,
+    simulate_tensor_core_matmul,
+    tensor_core_operands,
+)
 from repro.core.pruning import nm_compress, nm_compress_fast
 from repro.core.sparse import NMSparseMatrix
-from repro.utils.shapes import as_batched_3d, restore_batch_shape
+from repro.utils.shapes import as_batched_3d, restore_batch_shape, row_blocks
 
 #: Sentinel written to score positions excluded by a blocked-ELL mask; large
 #: and negative so the sparse softmax assigns them exactly zero weight.
@@ -111,6 +128,25 @@ def sddmm_nm(
     )
 
 
+def _epilogue_scale(d: int, scale):
+    """The factor whose in-place multiply reproduces ``float32(scores * scale)``.
+
+    ``scale`` defaults to ``1/sqrt(d)``, a float64 scalar, so ``scores * scale``
+    is computed in float64 and rounded back to float32.  When the scale is
+    exactly a float32 value, the float64 product of two float32 values is
+    exact, so one float32 multiply rounds the same exact product once and
+    gives the same bits without the float64 temporary.  Any other scale keeps
+    the float64 multiply (``np.multiply`` casts into the float32 block).
+    """
+    if scale is None:
+        scale = 1.0 / np.sqrt(d)
+    if np.result_type(np.float32, scale) == np.float32:
+        return scale
+    with np.errstate(over="ignore"):
+        narrow = np.float32(scale)
+    return narrow if narrow == scale else scale
+
+
 @register_kernel("sddmm_nm", FAST)
 def _sddmm_nm_fast(
     q: np.ndarray,
@@ -121,26 +157,38 @@ def _sddmm_nm_fast(
     criterion: str = "value",
     block_mask: Optional[BlockedEllMask] = None,
 ) -> NMSparseMatrix:
-    """Batched SDDMM + prune: one contraction and one vectorised compress."""
+    """Per-slice GEMM with the scale/mask/prune epilogue run on cache-sized blocks."""
     q3, k3, batch_shape = _prepare_inputs(q, k)
-    d = q3.shape[-1]
-    if scale is None:
-        scale = 1.0 / np.sqrt(d)
     pattern = (
         default_pattern_for_dtype(dtype) if pattern is None else resolve_pattern(pattern)
     )
-    scores = simulate_tensor_core_matmul(q3, np.swapaxes(k3, -1, -2), dtype) * scale
-    if block_mask is not None:
-        dense_mask = block_mask.dense_mask(scores.shape[-2], scores.shape[-1])
-        scores = np.where(dense_mask, scores, MASKED_SCORE)
-    values, indices = nm_compress_fast(scores, pattern, criterion)
-    values = restore_batch_shape(values, batch_shape)
-    indices = restore_batch_shape(indices, batch_shape)
+    slices, n_q, n_k = q3.shape[0], q3.shape[1], k3.shape[1]
+    pattern.validate_length(n_k)
+    factor = _epilogue_scale(q3.shape[-1], scale)
+    excluded = None if block_mask is None else ~block_mask.dense_mask(n_q, n_k)
+    q_tc, kt_tc = tensor_core_operands(q3, np.swapaxes(k3, -1, -2), dtype)
+    kept = pattern.kept(n_k)
+    values = np.empty((slices, n_q, kept), dtype=np.float32)
+    indices = np.empty((slices, n_q, kept), dtype=np.int8)
+    scores = None
+    # whole-slice GEMMs (see the module docstring), row-blocked epilogue
+    for s0, s1 in row_blocks(slices, n_q * n_k):
+        if scores is None:
+            scores = np.empty((s1 - s0, n_q, n_k), dtype=np.float32)
+        dense = np.matmul(q_tc[s0:s1], kt_tc[s0:s1], out=scores[: s1 - s0])
+        for r0, r1 in row_blocks(n_q, n_k):
+            block = dense[:, r0:r1]
+            np.multiply(block, factor, out=block)
+            if excluded is not None:
+                np.copyto(block, MASKED_SCORE, where=excluded[r0:r1])
+            values[s0:s1, r0:r1], indices[s0:s1, r0:r1] = nm_compress_fast(
+                block, pattern, criterion
+            )
     return NMSparseMatrix(
-        values=values,
-        indices=indices,
+        values=restore_batch_shape(values, batch_shape),
+        indices=restore_batch_shape(indices, batch_shape),
         pattern=pattern,
-        dense_cols=scores.shape[-1],
+        dense_cols=n_k,
         dtype=dtype,
     )
 

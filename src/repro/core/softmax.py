@@ -8,9 +8,11 @@ softmax whose pruned logits were set to ``-inf``.
 
 The sparse softmax is registered as the ``masked_softmax`` kernel with two
 backends: ``reference`` (row-chunked loop, mirroring the long-sequence CUDA
-implementation of Appendix A.4) and ``fast`` (cache-blocked in-place passes
-that, on ragged padded-CSR layouts, reduce over the ``valid_lanes()`` segments
-only instead of the full padded lane width).
+implementation of Appendix A.4) and ``fast`` (in-place passes over row blocks
+of about 64K elements, :func:`repro.utils.shapes.row_blocks`, that skip the
+masking passes in a block with no masked lane and, on ragged padded-CSR
+layouts, reduce over the ``valid_lanes()`` segments only instead of the full
+padded lane width).
 
 :func:`masked_softmax_values` is the shared value-space core: both the fast
 registry kernel and the fused :class:`~repro.core.plan.AttentionPlan` call it,
@@ -24,6 +26,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.backend import FAST, REFERENCE, get_kernel, register_kernel
+from repro.utils.shapes import row_blocks
 
 #: Values at or below this threshold are treated as masked-out logits (they
 #: come from blocked-ELL masking in the fused SDDMM) and receive zero weight.
@@ -80,28 +83,29 @@ def masked_exp_terms(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return exp, denom
 
 
-def _chunked_row_softmax(
-    values: np.ndarray, out: np.ndarray, chunk_rows: int = 2048
-) -> np.ndarray:
+def _chunked_row_softmax(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Masked row softmax over full-width rows, written into ``out``.
 
-    Rows are processed in cache-sized chunks and every elementwise op lands in
-    ``out`` (which may alias ``values``), so the whole pass keeps one chunk of
-    temporaries resident instead of eight full-tensor ones — this is what
-    makes the fast backend beat the reference loop at default scale.
+    Rows are processed in cache-sized blocks (:func:`row_blocks`) and every
+    elementwise op lands in ``out`` (which may alias ``values``), so the whole
+    pass keeps one block of temporaries resident instead of eight full-tensor
+    ones.  A block with no masked lane skips the two masking passes, which
+    would not change a bit there.
     """
     flat = values.reshape(-1, values.shape[-1])
     oflat = out.reshape(flat.shape)
-    for start in range(0, flat.shape[0], chunk_rows):
-        stop = min(start + chunk_rows, flat.shape[0])
+    for start, stop in row_blocks(*flat.shape):
         vals = flat[start:stop]
         o = oflat[start:stop]
         masked = vals <= MASKED_LOGIT_THRESHOLD
-        row_max = np.max(np.where(masked, -np.inf, vals), axis=-1, keepdims=True)
+        any_masked = masked.any()
+        live = np.where(masked, -np.inf, vals) if any_masked else vals
+        row_max = np.max(live, axis=-1, keepdims=True)
         row_max = np.where(np.isfinite(row_max), row_max, 0.0)
         np.subtract(vals, row_max, out=o)  # repro: owns-buffer — caller-provided out
         np.exp(o, out=o)  # repro: owns-buffer — caller-provided out
-        o[masked] = 0.0  # repro: owns-buffer — caller-provided out
+        if any_masked:
+            o[masked] = 0.0  # repro: owns-buffer — caller-provided out
         denom = np.sum(o, axis=-1, keepdims=True)
         # repro: owns-buffer — caller-provided out
         np.divide(o, np.where(denom == 0.0, 1.0, denom), out=o)

@@ -8,10 +8,17 @@ supports arbitrary leading batch dimensions (batch, heads, ...).
 The container also knows how to materialise the hardware metadata stream
 (:meth:`NMSparseMatrix.packed_metadata`) and how to account for its own memory
 footprint, which feeds the performance model in :mod:`repro.gpusim`.
+
+The dense scatter the ``fast`` SpMM and backward kernels contract against
+(:meth:`NMSparseMatrix.scatter_compressed`) walks the metadata lane by lane:
+each of the M lanes of a group is built from the N kept values and their
+in-group offsets, on cache-sized row blocks, with no column-index expansion.
 """
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -22,6 +29,7 @@ from repro.core import metadata as meta
 from repro.core import pruning
 from repro.core.patterns import NMPattern, resolve_pattern
 from repro.core.precision import dtype_bytes, quantize
+from repro.utils.shapes import row_blocks
 
 
 @dataclass
@@ -164,15 +172,39 @@ class NMSparseMatrix:
 
     def scatter_compressed(self, values: np.ndarray) -> np.ndarray:
         """Scatter compressed ``values`` (sharing this structure) into a dense
-        zero-filled tile — the CompressedLayout scatter primitive."""
+        zero-filled tile — the CompressedLayout scatter primitive.
+
+        Each of the M lanes of a group is assembled from the N kept values
+        and their in-group offsets by multiplying the values' bit patterns
+        (as uint32) with the offset match, then the lanes are interleaved.
+        Pruned lanes come out ``+0.0`` and kept lanes carry their value's
+        exact bits (``-0.0``, infinities and NaN included).  The offsets of
+        one group are distinct, as every compress writes them.  Rows are
+        processed in cache-sized blocks.
+        """
         values = np.asarray(values, dtype=np.float32)
         if values.shape != self.values.shape:
             raise ValueError(
                 f"compressed values shape {values.shape} != {self.values.shape}"
             )
-        dense = np.zeros(values.shape[:-1] + (self.dense_cols,), dtype=np.float32)
-        np.put_along_axis(dense, self.column_indices(), values, axis=-1)
-        return dense
+        n, m = self.pattern.n, self.pattern.m
+        groups = self.dense_cols // m
+        bits = values.view(np.uint32).reshape(math.prod(values.shape[:-1]), groups, n)
+        offsets = self.indices.reshape(bits.shape)
+        dense = np.empty(bits.shape[:-1] + (m,), dtype=np.uint32)
+        for r0, r1 in row_blocks(bits.shape[0], self.dense_cols):
+            kept = [
+                (np.ascontiguousarray(bits[r0:r1, :, j]),
+                 np.ascontiguousarray(offsets[r0:r1, :, j]))
+                for j in range(n)
+            ]
+            for lane in range(m):
+                lane_bits = None
+                for kept_bits, kept_offsets in kept:
+                    term = kept_bits * (kept_offsets == lane)
+                    lane_bits = term if lane_bits is None else lane_bits + term
+                dense[r0:r1, :, lane] = lane_bits
+        return dense.view(np.float32).reshape(values.shape[:-1] + (self.dense_cols,))
 
     def to_scattered(self, cache: bool = False) -> np.ndarray:
         """Dense zero-filled scatter of the stored values.
@@ -200,16 +232,11 @@ class NMSparseMatrix:
             raise ValueError(
                 f"replacement values shape {new_values.shape} != {self.values.shape}"
             )
-        out = NMSparseMatrix(
-            values=new_values,
-            indices=self.indices.copy(),
-            pattern=self.pattern,
-            dense_cols=self.dense_cols,
-            dtype=self.dtype,
-        )
-        cached = self.__dict__.get("_column_cache")
-        if cached is not None:
-            out.__dict__["_column_cache"] = cached
+        # the metadata is immutable, so the shallow copy shares it (and its
+        # column cache) without copying or re-validating it
+        out = copy.copy(self)
+        out.values = new_values
+        out.__dict__.pop("_scatter_cache", None)
         return out
 
     # -------------------------------------------------------------- metadata

@@ -212,10 +212,11 @@ class AttentionEngine:
             )
         n_q = self.seq_len_hint if n_q is None else int(n_q)
         n_k = n_q if n_k is None else int(n_k)
-        pattern = getattr(self.config, "pattern", None)
-        if pattern is not None and not self.spec.static_mask:
+        if hasattr(self.config, "pattern") and not self.spec.static_mask:
+            # the mechanism resolves ``pattern=None`` from its dtype (1:2 for
+            # float32, 2:4 for bfloat16), so plan with what it will run
             return plan_for_nm(
-                pattern, n_q, n_k, backend=self.backend,
+                self.mechanism().pattern, n_q, n_k, backend=self.backend,
                 dtype=getattr(self.config, "dtype", "float32"),
             )
         if not self.spec.static_mask:

@@ -8,9 +8,13 @@ helpers flatten the leading dimensions into one so kernels only deal with 3-D
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
+
+#: Elements a cache-blocked kernel pass keeps resident at once: 64K float32
+#: (256 KB) fits a per-core L2 cache together with the pass's temporaries.
+CACHE_BLOCK_ELEMS = 1 << 16
 
 
 def as_batched_3d(x: np.ndarray) -> Tuple[np.ndarray, Tuple[int, ...]]:
@@ -32,6 +36,14 @@ def restore_batch_shape(x: np.ndarray, batch_shape: Tuple[int, ...]) -> np.ndarr
     if x.ndim != 3:
         raise ValueError(f"expected a 3-D array, got shape {x.shape}")
     return x.reshape(*batch_shape, x.shape[-2], x.shape[-1])
+
+
+def row_blocks(rows: int, cols: int) -> Iterator[Tuple[int, int]]:
+    """``(start, stop)`` bounds of consecutive row blocks of a ``(rows, cols)``
+    array, each about :data:`CACHE_BLOCK_ELEMS` elements (at least one row)."""
+    step = max(1, CACHE_BLOCK_ELEMS // max(1, cols))
+    for start in range(0, rows, step):
+        yield start, min(start + step, rows)
 
 
 def check_matmul_shapes(a: np.ndarray, b: np.ndarray) -> None:

@@ -55,6 +55,16 @@ class TestRunner:
             assert 0 < r.p10_s <= r.median_s <= r.p90_s
             assert len(r.timings_s) == 2
 
+    def test_sddmm_rows_report_their_gemm_ratio(self, tiny_results):
+        rows = [r for r in tiny_results if r.kernel == "sddmm_nm"]
+        assert {r.backend for r in rows} == {"reference", "fast"}
+        for r in rows:
+            assert r.extra["gemm_median_s"] > 0
+            assert r.extra["gemm_ratio"] == pytest.approx(
+                r.median_s / r.extra["gemm_median_s"]
+            )
+        assert "its GEMM" in format_table(rows)
+
     def test_unknown_scale_rejected(self):
         with pytest.raises(ValueError, match="unknown scale"):
             run_benchmarks(scale="gigantic")
@@ -70,11 +80,15 @@ class TestReport:
         assert payload["schema_version"] == SCHEMA_VERSION
         assert payload["shape"] == "B1xH2xL32xD16"
         assert len(payload["results"]) == len(tiny_results)
+        base_columns = {
+            "kernel", "shape", "backend", "median_s", "p10_s", "p90_s",
+            "speedup", "parity_max_rel_err",
+        }
         for row in payload["results"]:
-            assert set(row) == {
-                "kernel", "shape", "backend", "median_s", "p10_s", "p90_s",
-                "speedup", "parity_max_rel_err",
-            }
+            if row["kernel"] == "sddmm_nm":
+                assert set(row) == base_columns | {"gemm_median_s", "gemm_ratio"}
+            else:
+                assert set(row) == base_columns
         out = tmp_path / "BENCH_kernels.json"
         write_payload(out, payload)
         assert load_payload(out) == json.loads(out.read_text())

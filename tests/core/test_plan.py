@@ -280,11 +280,21 @@ class TestEnginePlan:
         assert plan.key.mechanism == "local"
         assert plan.key.shape_class[:2] == (24, 24)
 
-    @pytest.mark.parametrize("dtype", ["float32", "bfloat16"])
-    def test_dfss_engine_plan_matches_the_engine_bitwise(self, dtype):
-        engine = AttentionEngine("dfss", pattern="2:4", dtype=dtype)
+    @pytest.mark.parametrize(
+        "pattern,dtype,planned",
+        [
+            pytest.param("2:4", "float32", "dfss_2:4", id="float32"),
+            pytest.param("2:4", "bfloat16", "dfss_2:4", id="bfloat16"),
+            # no explicit pattern: plan with the one the mechanism resolves
+            pytest.param(None, "float32", "dfss_1:2", id="default-float32"),
+            pytest.param(None, "bfloat16", "dfss_2:4", id="default-bfloat16"),
+        ],
+    )
+    def test_dfss_engine_plan_matches_the_engine_bitwise(self, pattern, dtype, planned):
+        engine = AttentionEngine("dfss", pattern=pattern, dtype=dtype)
         plan = engine.plan(64)
         assert plan.key.dtype == dtype
+        assert plan.key.mechanism == planned
         rng = np.random.default_rng(11)
         q, k, v = (rng.standard_normal((2, 64, 16), dtype=np.float32) for _ in range(3))
         assert plan.forward(q, k, v).tobytes() == engine(q, k, v).tobytes()

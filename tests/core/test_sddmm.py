@@ -5,8 +5,15 @@ import pytest
 
 from repro.core.blocked_ell import sliding_window_mask
 from repro.core.patterns import PATTERN_1_2, PATTERN_2_4
-from repro.core.pruning import nm_prune_mask
-from repro.core.sddmm import SddmmTraffic, sddmm_dense, sddmm_nm, sddmm_nm_tiled
+from repro.core.precision import simulate_tensor_core_matmul
+from repro.core.pruning import nm_compress_fast, nm_prune_mask
+from repro.core.sddmm import (
+    MASKED_SCORE,
+    SddmmTraffic,
+    sddmm_dense,
+    sddmm_nm,
+    sddmm_nm_tiled,
+)
 
 
 def _qk(seq=64, d=32, batch=None, seed=0):
@@ -78,6 +85,87 @@ class TestSddmmNM:
         # every surviving *finite, non-sentinel* score lies inside the block mask
         outside = dense[~block_dense]
         assert np.all((outside == 0.0) | (outside <= -1e29))
+
+
+def _one_pass_sddmm_nm(q, k, pattern, scale=None, dtype="float32", block_mask=None,
+                       criterion="value"):
+    """Unblocked formulation: the whole score tensor, scaled, masked, pruned."""
+    if scale is None:
+        scale = 1.0 / np.sqrt(q.shape[-1])
+    scores = simulate_tensor_core_matmul(q, np.swapaxes(k, -1, -2), dtype) * scale
+    if block_mask is not None:
+        allowed = block_mask.dense_mask(scores.shape[-2], scores.shape[-1])
+        scores = np.where(allowed, scores, MASKED_SCORE)
+    return nm_compress_fast(scores, pattern, criterion)
+
+
+def _assert_bitwise(sparse, values, indices):
+    assert sparse.values.view(np.uint32).tobytes() == values.view(np.uint32).tobytes()
+    np.testing.assert_array_equal(sparse.indices, indices)
+
+
+class TestBlockedEpilogueIsBitwise:
+    """The fast kernel's cache-blocked epilogue reproduces the one-pass
+    formulation bit for bit on random normal inputs (where rounding order
+    matters), across row blocks that do not divide the sequence, stacked
+    small slices, and both scale routes (float32-exact and float64)."""
+
+    # (batch, n_q, n_k): 2-D; row blocks of 65536 // 588 = 111 rows over 600
+    # rows; slabs of 7 stacked slices over 12 slices
+    SHAPES = [((), 130, 516), ((2,), 600, 588), ((3, 4), 90, 96)]
+
+    @pytest.mark.parametrize("pattern", ["1:2", "2:4", "2:6"])
+    @pytest.mark.parametrize("d", [32, 64])  # 1/sqrt(32) is not a float32
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_default_scale(self, pattern, d, shape):
+        batch, n_q, n_k = shape
+        rng = np.random.default_rng(d + n_q)
+        q = rng.standard_normal(batch + (n_q, d), dtype=np.float32)
+        k = rng.standard_normal(batch + (n_k, d), dtype=np.float32)
+        _assert_bitwise(
+            sddmm_nm(q, k, pattern=pattern, backend="fast"),
+            *_one_pass_sddmm_nm(q, k, pattern),
+        )
+
+    @pytest.mark.parametrize(
+        "scale",
+        [0.3, np.float32(0.3), np.float64(0.3), np.float64(0.25), 3],
+        ids=["py-float", "f32", "f64-inexact", "f64-exact", "int"],
+    )
+    @pytest.mark.parametrize("dtype", ["float32", "bfloat16"])
+    def test_explicit_scale_and_dtype(self, scale, dtype):
+        rng = np.random.default_rng(5)
+        q = rng.standard_normal((2, 300, 48), dtype=np.float32)
+        k = rng.standard_normal((2, 260, 48), dtype=np.float32)
+        _assert_bitwise(
+            sddmm_nm(q, k, pattern="2:4", scale=scale, dtype=dtype, backend="fast"),
+            *_one_pass_sddmm_nm(q, k, "2:4", scale=scale, dtype=dtype),
+        )
+
+    @pytest.mark.parametrize("pattern", ["1:2", "2:4"])
+    def test_block_mask_and_magnitude_criterion(self, pattern):
+        rng = np.random.default_rng(8)
+        q, k = (rng.standard_normal((2, 320, 40), dtype=np.float32) for _ in range(2))
+        mask = sliding_window_mask(320, block_size=32, window_blocks=1)
+        for criterion in ("value", "magnitude"):
+            _assert_bitwise(
+                sddmm_nm(q, k, pattern=pattern, block_mask=mask,
+                         criterion=criterion, backend="fast"),
+                *_one_pass_sddmm_nm(q, k, pattern, block_mask=mask,
+                                    criterion=criterion),
+            )
+
+    @pytest.mark.parametrize("n", [96, 600])
+    def test_stacked_slices_equal_per_slice_calls(self, n):
+        rng = np.random.default_rng(n)
+        q, k = (rng.standard_normal((9, n, 32), dtype=np.float32) for _ in range(2))
+        stacked = sddmm_nm(q, k, pattern="2:4", backend="fast")
+        singles = [sddmm_nm(q[i], k[i], pattern="2:4", backend="fast") for i in range(9)]
+        _assert_bitwise(
+            stacked,
+            np.stack([s.values for s in singles]),
+            np.stack([s.indices for s in singles]),
+        )
 
 
 class TestSddmmTiled:

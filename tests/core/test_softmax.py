@@ -10,6 +10,7 @@ from repro.core.padded_csr import PaddedCSRMatrix
 from repro.core.patterns import PATTERN_2_4
 from repro.core.sddmm import sddmm_csr
 from repro.core.softmax import (
+    MASKED_LOGIT_THRESHOLD,
     _chunked_row_softmax,
     _segmented_row_softmax,
     dense_softmax,
@@ -129,6 +130,44 @@ def _dispatch_args(scores):
     valid = scores.valid_lanes()
     lengths = None if valid is None else scores.row_lengths()
     return valid, lengths
+
+
+def _one_block_softmax(values):
+    """The masked row softmax as one block: every pass over the whole array."""
+    flat = values.reshape(-1, values.shape[-1])
+    out = np.empty_like(flat)
+    masked = flat <= MASKED_LOGIT_THRESHOLD
+    row_max = np.max(np.where(masked, -np.inf, flat), axis=-1, keepdims=True)
+    row_max = np.where(np.isfinite(row_max), row_max, 0.0)
+    np.subtract(flat, row_max, out=out)
+    np.exp(out, out=out)
+    out[masked] = 0.0
+    denom = np.sum(out, axis=-1, keepdims=True)
+    np.divide(out, np.where(denom == 0.0, 1.0, denom), out=out)
+    return out.reshape(values.shape)
+
+
+class TestBlockedSoftmaxIsBitwise:
+    """The cache-blocked softmax (which skips the masking passes in blocks
+    with no masked lane) writes the same bits as one pass over all rows."""
+
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_matches_one_block(self, in_place):
+        rng = np.random.default_rng(4)
+        # 2 x 300 rows of 512 lanes: row blocks of 128 rows, the last partial
+        values = rng.standard_normal((2, 300, 512), dtype=np.float32) * 4
+        values[0, 3, 7] = np.inf            # a block with no masked lane
+        values[0, 200, :5] = -np.inf        # -inf counts as masked
+        values[1, 10, ::3] = -1e30          # the masked-score sentinel
+        values[1, 11] = -1e30               # a fully masked row
+        values[1, 290, 0] = np.inf
+        values[1, 290, 1] = -1e30
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = _one_block_softmax(values)
+            buf = values.copy()
+            got = _chunked_row_softmax(buf, buf if in_place else np.empty_like(buf))
+        assert got.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
+        assert np.all(got[1, 11] == 0.0)
 
 
 class TestValueSpaceDispatch:

@@ -90,6 +90,52 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             sp.with_values(np.zeros((8, 4)))
 
+    def test_with_values_shares_the_metadata(self):
+        _, sp = _random_sparse((8, 16))
+        cols = sp.column_indices()
+        sp.to_scattered(cache=True)
+        halved = sp.with_values(sp.values / 2)
+        assert halved.indices is sp.indices
+        assert halved.column_indices() is cols
+        np.testing.assert_array_equal(halved.to_scattered(), sp.to_scattered() / 2)
+
+
+def _put_along_axis_scatter(sp, values):
+    """Column-expansion scatter: zero tile, then one write per stored value."""
+    dense = np.zeros(values.shape[:-1] + (sp.dense_cols,), dtype=np.float32)
+    np.put_along_axis(dense, sp.column_indices(), values, axis=-1)
+    return dense
+
+
+class TestLaneScatterIsBitwise:
+    """``scatter_compressed`` builds each group lane from the metadata; it
+    must write the same bits as the column-expansion scatter, including
+    ``-0.0``, infinities and NaN in kept lanes and ``+0.0`` in pruned ones."""
+
+    @pytest.mark.parametrize("pattern", ["1:2", "2:4", "2:6"])
+    # 2-D; and 600 flattened rows of 600 columns in row blocks of 109
+    @pytest.mark.parametrize("shape", [(7, 48), (2, 3, 100, 600)])
+    def test_matches_put_along_axis(self, pattern, shape):
+        rng = np.random.default_rng(len(shape))
+        dense = rng.standard_normal(shape, dtype=np.float32)
+        sp = NMSparseMatrix.from_dense(dense, pattern)
+        values = sp.values.copy()
+        flat = values.reshape(-1)
+        flat[:4] = [-0.0, np.inf, -np.inf, np.nan]
+        for vals in (sp.values, values):
+            got = sp.scatter_compressed(vals)
+            want = _put_along_axis_scatter(sp, vals)
+            assert got.shape == want.shape
+            assert got.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
+
+    def test_cached_tile_matches_put_along_axis(self):
+        sp = NMSparseMatrix.from_dense(
+            np.random.default_rng(2).standard_normal((2, 64, 128), dtype=np.float32),
+            PATTERN_1_2,
+        )
+        want = _put_along_axis_scatter(sp, sp.values)
+        assert sp.to_scattered(cache=True).tobytes() == want.tobytes()
+
 
 class TestFootprint:
     def test_compression_ratio_2_4_bf16(self):

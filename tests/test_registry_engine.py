@@ -7,7 +7,11 @@ must emit ``DeprecationWarning`` while preserving behaviour, and unknown
 keyword arguments must keep raising ``TypeError``.
 """
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,3 +276,25 @@ class TestEngineSurface:
         q, k, _ = _lattice_qkv(seed=7)
         mask = AttentionEngine("dfss", pattern="2:4").attention_mask(q, k)
         assert mask.dtype == bool and mask.mean() == pytest.approx(0.5)
+
+
+class TestImportCost:
+    def test_serving_and_training_imports_load_no_scipy(self):
+        # scipy.special costs about 0.3 s to import; only the closed-form
+        # analysis functions need it, so they import it when called
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import repro, repro.nn, repro.serve\n"
+            "from repro.engine import AttentionEngine\n"
+            "q = np.ones((1, 8, 4), dtype=np.float32)\n"
+            "AttentionEngine('dfss')(q, q, q)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        assert result.stdout.strip() == "[]"
