@@ -12,12 +12,14 @@ All functions are fully vectorised over arbitrary leading batch dimensions.
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
 
 from repro.core.backend import FAST, REFERENCE, register_kernel
 from repro.core.patterns import NMPattern, resolve_pattern
+from repro.utils.shapes import row_blocks
 
 #: Selection criteria supported by :func:`nm_group_topn_indices`.
 CRITERIA = ("value", "magnitude")
@@ -235,6 +237,58 @@ def nm_prune_mask_fast(x: np.ndarray, pattern, criterion: str = "value") -> np.n
 register_kernel("nm_prune_mask", REFERENCE)(nm_prune_mask)
 
 
+def check_group_offsets(indices: np.ndarray, pattern) -> None:
+    """Raise ``ValueError`` unless every kept offset lies in ``[0, M)`` and the
+    N offsets of each group are distinct, as every compress writes them."""
+    pattern = resolve_pattern(pattern)
+    indices = np.asarray(indices)
+    if np.any(indices < 0) or np.any(indices >= pattern.m):
+        raise ValueError("indices must lie in [0, M)")
+    n = pattern.n
+    groups = indices.reshape(indices.shape[:-1] + (indices.shape[-1] // n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if np.any(groups[..., i] == groups[..., j]):
+                raise ValueError("the kept offsets of a group must be distinct")
+
+
+def scatter_groups(
+    values: np.ndarray, indices: np.ndarray, pattern: NMPattern, cols: int,
+    fill_value: float = 0.0,
+) -> np.ndarray:
+    """Scatter compressed values into a dense ``(..., cols)`` array, unchecked.
+
+    Each of the M lanes of a group is assembled from the N kept values and
+    their in-group offsets by multiplying the values' bit patterns (as uint32)
+    with the offset match, then the lanes are interleaved; rows are processed
+    in cache-sized blocks.  Kept lanes carry their value's exact bits
+    (``-0.0``, infinities and NaN included), the others ``fill_value``.  The
+    offsets must pass :func:`check_group_offsets`: a repeated offset would add
+    two bit patterns.
+    """
+    n, m = pattern.n, pattern.m
+    values = np.asarray(values, dtype=np.float32)
+    fill = np.float32(fill_value).view(np.uint32)
+    bits = values.view(np.uint32).reshape(math.prod(values.shape[:-1]), cols // m, n)
+    offsets = np.asarray(indices).reshape(bits.shape)
+    dense = np.empty(bits.shape[:-1] + (m,), dtype=np.uint32)
+    for r0, r1 in row_blocks(bits.shape[0], cols):
+        kept = [
+            (np.ascontiguousarray(bits[r0:r1, :, j]),
+             np.ascontiguousarray(offsets[r0:r1, :, j]))
+            for j in range(n)
+        ]
+        for lane in range(m):
+            matches = [kept_offsets == lane for _, kept_offsets in kept]
+            lane_bits = kept[0][0] * matches[0]
+            for (kept_bits, _), match in zip(kept[1:], matches[1:]):
+                lane_bits += kept_bits * match
+            if fill:
+                lane_bits += fill * ~np.logical_or.reduce(matches)
+            dense[r0:r1, :, lane] = lane_bits
+    return dense.view(np.float32).reshape(values.shape[:-1] + (cols,))
+
+
 def nm_decompress(
     values: np.ndarray, indices: np.ndarray, pattern, cols: int, fill_value: float = 0.0
 ) -> np.ndarray:
@@ -252,12 +306,8 @@ def nm_decompress(
         raise ValueError(
             f"compressed width {values.shape[-1]} does not match kept({cols})={expected_kept}"
         )
-    groups = cols // pattern.m
-    g_vals = values.reshape(values.shape[:-1] + (groups, pattern.n))
-    g_idx = indices.reshape(indices.shape[:-1] + (groups, pattern.n)).astype(np.int64)
-    dense_groups = np.full(values.shape[:-1] + (groups, pattern.m), fill_value, dtype=np.float32)
-    np.put_along_axis(dense_groups, g_idx, g_vals, axis=-1)
-    return dense_groups.reshape(values.shape[:-1] + (cols,))
+    check_group_offsets(indices, pattern)
+    return scatter_groups(values, indices, pattern, cols, fill_value)
 
 
 def global_column_indices(indices: np.ndarray, pattern, cols: int) -> np.ndarray:

@@ -24,11 +24,10 @@ Two backends are registered with :mod:`repro.core.backend`:
   not split into row blocks because BLAS may pick another kernel, and so
   another summation order, for a row block than for the whole slice.
 
-The scale follows NumPy's promotion of ``scores * scale``: the default
-``1/sqrt(d)`` is a float64 scalar, so the product is formed in float64 and
-rounded to float32.  When that scale is exactly representable in float32 (as
-``1/8`` for ``d = 64`` is), a float32 multiply rounds the same exact product
-once and is used instead; otherwise the float64 multiply is kept.
+The in-place multiply of each float32 block by ``scale`` follows NumPy's
+promotion of ``scores * scale``: the default ``1/sqrt(d)`` is a float64
+scalar, so each product is formed in float64 and rounded into the float32
+block, as the one-pass formulation rounds its float64 product tensor.
 """
 
 from __future__ import annotations
@@ -128,25 +127,6 @@ def sddmm_nm(
     )
 
 
-def _epilogue_scale(d: int, scale):
-    """The factor whose in-place multiply reproduces ``float32(scores * scale)``.
-
-    ``scale`` defaults to ``1/sqrt(d)``, a float64 scalar, so ``scores * scale``
-    is computed in float64 and rounded back to float32.  When the scale is
-    exactly a float32 value, the float64 product of two float32 values is
-    exact, so one float32 multiply rounds the same exact product once and
-    gives the same bits without the float64 temporary.  Any other scale keeps
-    the float64 multiply (``np.multiply`` casts into the float32 block).
-    """
-    if scale is None:
-        scale = 1.0 / np.sqrt(d)
-    if np.result_type(np.float32, scale) == np.float32:
-        return scale
-    with np.errstate(over="ignore"):
-        narrow = np.float32(scale)
-    return narrow if narrow == scale else scale
-
-
 @register_kernel("sddmm_nm", FAST)
 def _sddmm_nm_fast(
     q: np.ndarray,
@@ -164,7 +144,8 @@ def _sddmm_nm_fast(
     )
     slices, n_q, n_k = q3.shape[0], q3.shape[1], k3.shape[1]
     pattern.validate_length(n_k)
-    factor = _epilogue_scale(q3.shape[-1], scale)
+    if scale is None:
+        scale = 1.0 / np.sqrt(q3.shape[-1])
     excluded = None if block_mask is None else ~block_mask.dense_mask(n_q, n_k)
     q_tc, kt_tc = tensor_core_operands(q3, np.swapaxes(k3, -1, -2), dtype)
     kept = pattern.kept(n_k)
@@ -178,7 +159,7 @@ def _sddmm_nm_fast(
         dense = np.matmul(q_tc[s0:s1], kt_tc[s0:s1], out=scores[: s1 - s0])
         for r0, r1 in row_blocks(n_q, n_k):
             block = dense[:, r0:r1]
-            np.multiply(block, factor, out=block)
+            np.multiply(block, scale, out=block)
             if excluded is not None:
                 np.copyto(block, MASKED_SCORE, where=excluded[r0:r1])
             values[s0:s1, r0:r1], indices[s0:s1, r0:r1] = nm_compress_fast(

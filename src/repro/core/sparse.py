@@ -10,15 +10,16 @@ The container also knows how to materialise the hardware metadata stream
 footprint, which feeds the performance model in :mod:`repro.gpusim`.
 
 The dense scatter the ``fast`` SpMM and backward kernels contract against
-(:meth:`NMSparseMatrix.scatter_compressed`) walks the metadata lane by lane:
-each of the M lanes of a group is built from the N kept values and their
-in-group offsets, on cache-sized row blocks, with no column-index expansion.
+(:meth:`NMSparseMatrix.scatter_compressed`) and :meth:`NMSparseMatrix.to_dense`
+share :func:`repro.core.pruning.scatter_groups`, which walks the metadata lane
+by lane: each of the M lanes of a group is built from the N kept values and
+their in-group offsets, on cache-sized row blocks, with no column-index
+expansion.  Construction rejects metadata whose group repeats an offset.
 """
 
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -29,7 +30,6 @@ from repro.core import metadata as meta
 from repro.core import pruning
 from repro.core.patterns import NMPattern, resolve_pattern
 from repro.core.precision import dtype_bytes, quantize
-from repro.utils.shapes import row_blocks
 
 
 @dataclass
@@ -73,8 +73,7 @@ class NMSparseMatrix:
                 f"compressed width {self.values.shape[-1]} does not match "
                 f"kept({self.dense_cols}) = {expected_kept} for pattern {self.pattern.name}"
             )
-        if np.any(self.indices < 0) or np.any(self.indices >= self.pattern.m):
-            raise ValueError("indices must lie in [0, M)")
+        pruning.check_group_offsets(self.indices, self.pattern)
         if sanitize_enabled():
             # write-once guard: the metadata stream is immutable by convention
             self.indices = freeze_structure(private_copy(self.indices, np.int8))
@@ -123,7 +122,7 @@ class NMSparseMatrix:
 
     def to_dense(self, fill_value: float = 0.0) -> np.ndarray:
         """Materialise the dense matrix with pruned entries set to ``fill_value``."""
-        return pruning.nm_decompress(
+        return pruning.scatter_groups(
             self.values, self.indices, self.pattern, self.dense_cols, fill_value
         )
 
@@ -172,39 +171,14 @@ class NMSparseMatrix:
 
     def scatter_compressed(self, values: np.ndarray) -> np.ndarray:
         """Scatter compressed ``values`` (sharing this structure) into a dense
-        zero-filled tile — the CompressedLayout scatter primitive.
-
-        Each of the M lanes of a group is assembled from the N kept values
-        and their in-group offsets by multiplying the values' bit patterns
-        (as uint32) with the offset match, then the lanes are interleaved.
-        Pruned lanes come out ``+0.0`` and kept lanes carry their value's
-        exact bits (``-0.0``, infinities and NaN included).  The offsets of
-        one group are distinct, as every compress writes them.  Rows are
-        processed in cache-sized blocks.
-        """
+        zero-filled tile — the CompressedLayout scatter primitive, the lane
+        scatter of :func:`repro.core.pruning.scatter_groups`."""
         values = np.asarray(values, dtype=np.float32)
         if values.shape != self.values.shape:
             raise ValueError(
                 f"compressed values shape {values.shape} != {self.values.shape}"
             )
-        n, m = self.pattern.n, self.pattern.m
-        groups = self.dense_cols // m
-        bits = values.view(np.uint32).reshape(math.prod(values.shape[:-1]), groups, n)
-        offsets = self.indices.reshape(bits.shape)
-        dense = np.empty(bits.shape[:-1] + (m,), dtype=np.uint32)
-        for r0, r1 in row_blocks(bits.shape[0], self.dense_cols):
-            kept = [
-                (np.ascontiguousarray(bits[r0:r1, :, j]),
-                 np.ascontiguousarray(offsets[r0:r1, :, j]))
-                for j in range(n)
-            ]
-            for lane in range(m):
-                lane_bits = None
-                for kept_bits, kept_offsets in kept:
-                    term = kept_bits * (kept_offsets == lane)
-                    lane_bits = term if lane_bits is None else lane_bits + term
-                dense[r0:r1, :, lane] = lane_bits
-        return dense.view(np.float32).reshape(values.shape[:-1] + (self.dense_cols,))
+        return pruning.scatter_groups(values, self.indices, self.pattern, self.dense_cols)
 
     def to_scattered(self, cache: bool = False) -> np.ndarray:
         """Dense zero-filled scatter of the stored values.

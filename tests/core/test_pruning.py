@@ -110,6 +110,12 @@ class TestCompressDecompress:
         with pytest.raises(ValueError):
             nm_decompress(np.zeros((4, 9)), np.zeros((4, 9)), PATTERN_2_4, cols=16)
 
+    def test_decompress_rejects_repeated_offsets(self):
+        vals, idx = nm_compress(np.arange(16, dtype=np.float32).reshape(1, 16), PATTERN_2_4)
+        idx[0, 1] = idx[0, 0]
+        with pytest.raises(ValueError, match="distinct"):
+            nm_decompress(vals, idx, PATTERN_2_4, cols=16)
+
     def test_global_column_indices(self):
         x = np.array([[1.0, 9.0, 8.0, 2.0, 1.0, 2.0, 3.0, 4.0]], dtype=np.float32)
         _, idx = nm_compress(x, PATTERN_2_4)

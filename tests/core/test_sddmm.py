@@ -108,7 +108,7 @@ class TestBlockedEpilogueIsBitwise:
     """The fast kernel's cache-blocked epilogue reproduces the one-pass
     formulation bit for bit on random normal inputs (where rounding order
     matters), across row blocks that do not divide the sequence, stacked
-    small slices, and both scale routes (float32-exact and float64)."""
+    small slices, and scales exact (d = 64) and inexact (d = 32) in float32."""
 
     # (batch, n_q, n_k): 2-D; row blocks of 65536 // 588 = 111 rows over 600
     # rows; slabs of 7 stacked slices over 12 slices

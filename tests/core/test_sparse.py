@@ -57,6 +57,19 @@ class TestConstruction:
                 dense_cols=16,
             )
 
+    @pytest.mark.parametrize("pattern", ["2:4", "2:6"])
+    def test_rejects_repeated_offsets_in_a_group(self, pattern):
+        # a valid structure with one group's second offset set to its first
+        sp = NMSparseMatrix.from_dense(
+            np.random.default_rng(5).standard_normal((4, 24), dtype=np.float32), pattern
+        )
+        indices = sp.indices.copy()
+        indices[2, 7] = indices[2, 6]
+        with pytest.raises(ValueError, match="distinct"):
+            NMSparseMatrix(
+                values=sp.values, indices=indices, pattern=pattern, dense_cols=24
+            )
+
 
 class TestRoundTrip:
     def test_to_dense_matches_masked_original(self):
@@ -135,6 +148,17 @@ class TestLaneScatterIsBitwise:
         )
         want = _put_along_axis_scatter(sp, sp.values)
         assert sp.to_scattered(cache=True).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("pattern", ["1:2", "2:4", "2:6"])
+    @pytest.mark.parametrize("fill", [0.0, -0.0, -np.inf, -7.0])
+    def test_to_dense_matches_put_along_axis(self, pattern, fill):
+        sp = NMSparseMatrix.from_dense(
+            np.random.default_rng(3).standard_normal((3, 5, 96), dtype=np.float32),
+            pattern,
+        )
+        want = np.full(sp.dense_shape, fill, dtype=np.float32)
+        np.put_along_axis(want, sp.column_indices(), sp.values, axis=-1)
+        assert sp.to_dense(fill).tobytes() == want.tobytes()
 
 
 class TestFootprint:
